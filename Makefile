@@ -1,0 +1,13 @@
+W ?= scenario_sim
+SEED ?= 1
+
+.PHONY: test bench-smoke bench
+
+test:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+
+bench-smoke:
+	python -m pytest benchmarks/test_smoke.py
+
+bench:
+	python3 benchmarks/run.py --workload $(W) --seed $(SEED) --seconds 25 --trace 0

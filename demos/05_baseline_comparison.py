@@ -13,7 +13,6 @@ from pathlib import Path
 
 from poem import (
     EpisodicMemory,
-    SyntheticEvalScorer,
     SyntheticOracle,
     TrainConfig,
     aggregate_reports,
@@ -29,13 +28,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def run_seed(task, seed):
     cfg = TrainConfig(iterations=120, minibatch_size=16, m=4, k=10, seed=seed)
     memory = EpisodicMemory(capacity=len(task.train), m=cfg.m)
+    scorer = SyntheticOracle(task.landscape)  # trains on reward(), evaluates with score()
     memory, _ = train(
-        cfg, task.train, task.ic, task.encoder,
-        SyntheticOracle(task.landscape), memory, SYNTHETIC_PROMPT,
+        cfg, task.train, task.ic, task.encoder, scorer, memory, SYNTHETIC_PROMPT,
     )
     return evaluate(
-        memory, task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT,
-        SyntheticEvalScorer(task.landscape), seed=seed,
+        memory, task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT, scorer, seed=seed,
     )
 
 

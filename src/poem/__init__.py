@@ -25,7 +25,6 @@ from .encoder import (
     RemoteEncoder,
     cosine_similarity,
     encode_state,
-    hash_test_encoder,
 )
 from .engine import (
     BASELINES,
@@ -54,7 +53,6 @@ from .errors import (
 from .memory import EpisodicMemory, StateRecord, state_id_for
 from .prompts import PromptSpec, Template, build_prompt, render_example, render_query
 from .rewards import (
-    LMEvalScorer,
     LMOracle,
     RemoteLM,
     RewardConfig,
@@ -77,7 +75,6 @@ from .selection import (
 from .simenv import (
     BiasLandscape,
     PlantedEncoder,
-    SyntheticEvalScorer,
     SyntheticOracle,
     SyntheticTask,
     brute_force_best,
@@ -107,7 +104,6 @@ __all__ = [
     "InContextSet",
     "InferenceResult",
     "InvalidInputError",
-    "LMEvalScorer",
     "LMOracle",
     "PlantedEncoder",
     "PoemError",
@@ -123,7 +119,6 @@ __all__ = [
     "SelectionError",
     "SnapshotError",
     "StateRecord",
-    "SyntheticEvalScorer",
     "SyntheticOracle",
     "SyntheticTask",
     "Template",
@@ -142,7 +137,6 @@ __all__ = [
     "evaluate",
     "exact_match_reward",
     "generate_task",
-    "hash_test_encoder",
     "identity_action",
     "infer",
     "load_examples",

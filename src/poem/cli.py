@@ -17,12 +17,11 @@ from pathlib import Path
 import click
 
 from .actions import action_key, enumerate_actions
-from .config import SYNTHETIC_PROMPT, build_runtime, load_task_config, parse_train
+from .config import build_runtime, load_task_config, parse_task_config
 from .engine import aggregate_reports, evaluate, infer, train
 from .errors import ConfigError, PoemError
 from .memory import EpisodicMemory
 from .selection import load_examples
-from .simenv import SyntheticEvalScorer, SyntheticOracle, load_scenario, task_from_scenario
 
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
@@ -46,6 +45,15 @@ def _friendly_errors(fn):
 @click.group()
 def main():
     """Order in-context examples with an episodic memory."""
+
+
+def _train(runtime, cfg, on_iteration=None):
+    """Train a fresh memory sized for the runtime; returns (memory, report)."""
+    memory = EpisodicMemory(capacity=runtime.capacity, m=cfg.m)
+    return train(
+        cfg, runtime.d_train, runtime.ic, runtime.encoder, runtime.scorer,
+        memory, runtime.prompt_spec, on_iteration=on_iteration,
+    )
 
 
 def _echo_train_report(report, as_json: bool):
@@ -76,7 +84,6 @@ def cmd_train(config_path, out_path, seed, snapshot_every, as_json):
     config = load_task_config(config_path)
     runtime = build_runtime(config)
     cfg = config.train if seed is None else replace(config.train, seed=seed)
-    memory = EpisodicMemory(capacity=runtime.capacity, m=cfg.m)
     out = Path(out_path)
 
     on_iteration = None
@@ -85,10 +92,7 @@ def cmd_train(config_path, out_path, seed, snapshot_every, as_json):
             if (t + 1) % snapshot_every == 0:
                 mem.snapshot(out.with_name(f"{out.stem}.iter{t + 1:04d}{out.suffix}"))
 
-    memory, report = train(
-        cfg, runtime.d_train, runtime.ic, runtime.encoder, runtime.oracle,
-        memory, runtime.prompt_spec, on_iteration=on_iteration,
-    )
+    memory, report = _train(runtime, cfg, on_iteration)
     memory.snapshot(out)
     _echo_train_report(report, as_json)
     if not as_json:
@@ -108,11 +112,7 @@ def cmd_order(config_path, memory_path, queries, query_file, as_json):
     """Pick the demonstration ordering for each query and print its prompt."""
     config = load_task_config(config_path)
     runtime = build_runtime(config, need_scoring=False)
-    memory = EpisodicMemory.restore(memory_path)
-    if memory.m != config.train.m:
-        raise ConfigError(
-            f"snapshot has m={memory.m} but the config trains with m={config.train.m}"
-        )
+    memory = _restore_memory(memory_path, config)
 
     query_fields: list[dict[str, str]] = []
     if query_file is not None:
@@ -153,6 +153,15 @@ def cmd_order(config_path, memory_path, queries, query_file, as_json):
         click.echo("")
 
 
+def _restore_memory(memory_path, config) -> EpisodicMemory:
+    memory = EpisodicMemory.restore(memory_path)
+    if memory.m != config.train.m:
+        raise ConfigError(
+            f"snapshot has m={memory.m} but the config trains with m={config.train.m}"
+        )
+    return memory
+
+
 def _eval_once(runtime, cfg, memory, seed):
     return evaluate(
         memory, runtime.d_test, runtime.ic, runtime.encoder, cfg,
@@ -183,23 +192,14 @@ def cmd_eval(config_path, memory_path, seed, seeds, as_json, as_csv, out_path):
         raise ConfigError(f"{config.path}: no 'test' split configured")
     base_seed = config.train.seed if seed is None else seed
 
-    fixed_memory = EpisodicMemory.restore(memory_path) if memory_path else None
-    if fixed_memory is not None and fixed_memory.m != config.train.m:
-        raise ConfigError(
-            f"snapshot has m={fixed_memory.m} but the config trains with m={config.train.m}"
-        )
+    fixed_memory = _restore_memory(memory_path, config) if memory_path else None
     reports = []
     for i in range(seeds):
         run_seed = base_seed + i
         if fixed_memory is not None:
             memory = fixed_memory
         else:
-            cfg = replace(config.train, seed=run_seed)
-            memory = EpisodicMemory(capacity=runtime.capacity, m=cfg.m)
-            memory, _ = train(
-                cfg, runtime.d_train, runtime.ic, runtime.encoder, runtime.oracle,
-                memory, runtime.prompt_spec,
-            )
+            memory, _ = _train(runtime, replace(config.train, seed=run_seed))
         reports.append(_eval_once(runtime, config.train, memory, run_seed))
     aggregate = aggregate_reports(reports)
 
@@ -278,31 +278,20 @@ def cmd_inspect_memory(memory_path, as_json):
 @_friendly_errors
 def cmd_simulate(scenario_path, seed, iterations, exploration, out_path, as_json):
     """Run the full loop (train + eval) on a synthetic scenario, end to end."""
-    scenario = load_scenario(scenario_path)
-    task = task_from_scenario(scenario)
-    train_raw = dict(scenario.get("train", {}))
-    train_raw.setdefault("m", scenario["m"])
-    if seed is not None:
-        train_raw["seed"] = seed
-    if iterations is not None:
-        train_raw["iterations"] = iterations
-    if exploration is not None:
-        train_raw["exploration_mode"] = exploration
-    cfg = parse_train(train_raw, str(scenario_path))
-    if cfg.m != task.m:
-        raise ConfigError(f"{scenario_path}: train.m={cfg.m} != scenario m={task.m}")
-
-    memory = EpisodicMemory(capacity=len(task.train), m=cfg.m)
-    memory, report = train(
-        cfg, task.train, task.ic, task.encoder, SyntheticOracle(task.landscape),
-        memory, SYNTHETIC_PROMPT,
+    overrides = {"seed": seed, "iterations": iterations, "exploration_mode": exploration}
+    path = Path(scenario_path)
+    config = parse_task_config(
+        {
+            "synthetic": {"scenario": path.name},
+            "train": {key: value for key, value in overrides.items() if value is not None},
+        },
+        path,
     )
+    runtime = build_runtime(config)
+    memory, report = _train(runtime, config.train)
     if out_path:
         memory.snapshot(out_path)
-    table = evaluate(
-        memory, task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT,
-        SyntheticEvalScorer(task.landscape), seed=cfg.seed,
-    )
+    table = _eval_once(runtime, config.train, memory, config.train.seed)
     if as_json:
         click.echo(json.dumps(
             {"report": report.to_dict(), "eval": table.to_dict()}, indent=2, sort_keys=True

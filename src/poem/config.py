@@ -15,18 +15,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .encoder import CachingEncoder, EncoderBackend, HashEncoder, RemoteEncoder
-from .engine import BASELINES, EvalScorer, RewardOracle, TrainConfig
+from .engine import BASELINES, Scorer, TrainConfig
 from .errors import ConfigError, InvalidInputError, PoemError
 from .prompts import LABEL_PLACEHOLDER, PromptSpec, Template, placeholders
-from .rewards import LMEvalScorer, LMOracle, RemoteLM, RewardConfig
+from .rewards import LMOracle, RemoteLM, RewardConfig
 from .selection import Example, InContextSet, build_in_context_set, load_examples
-from .simenv import (
-    SyntheticEvalScorer,
-    SyntheticOracle,
-    landscape_from_scenario,
-    load_scenario,
-    task_from_scenario,
-)
+from .simenv import SyntheticOracle, landscape_from_scenario, load_scenario, task_from_scenario
 
 _TRAIN_KEYS = {
     "iterations",
@@ -47,7 +41,6 @@ class TaskConfig:
 
     path: Path
     name: str
-    raw: dict
     train: TrainConfig
     capacity: int | None
     eval_baselines: tuple[str, ...]
@@ -55,7 +48,6 @@ class TaskConfig:
     scenario_path: Path | None = None
     # dataset mode
     dataset_paths: dict[str, Path] | None = None
-    fields: tuple[str, ...] | None = None
     retrieval_fields: tuple[str, ...] | None = None
     label_space: tuple[str, ...] | None = None
     prompt_spec: PromptSpec | None = None
@@ -136,6 +128,12 @@ def load_task_config(path: str | Path) -> TaskConfig:
         raise ConfigError(f"{path}: no such config file") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return parse_task_config(raw, path)
+
+
+def parse_task_config(raw, path: str | Path) -> TaskConfig:
+    """Validate a configuration document; its relative paths resolve against path's folder."""
+    path = Path(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     base = path.parent
@@ -178,7 +176,6 @@ def load_task_config(path: str | Path) -> TaskConfig:
         return TaskConfig(
             path=path,
             name=name,
-            raw=raw,
             train=train,
             capacity=capacity,
             eval_baselines=baselines,
@@ -263,12 +260,10 @@ def load_task_config(path: str | Path) -> TaskConfig:
     return TaskConfig(
         path=path,
         name=name,
-        raw=raw,
         train=train,
         capacity=capacity,
         eval_baselines=baselines,
         dataset_paths=dataset_paths,
-        fields=tuple(fields),
         retrieval_fields=retrieval_fields,
         label_space=label_space,
         prompt_spec=prompt_spec,
@@ -291,9 +286,13 @@ class TaskRuntime:
     ic: InContextSet
     d_test: list[Example] | None
     encoder: EncoderBackend
-    oracle: RewardOracle | None
-    scorer: EvalScorer | None
+    scorer: Scorer | None
     prompt_spec: PromptSpec
+
+    @property
+    def oracle(self) -> Scorer | None:
+        """The scorer, under the name training code uses for it."""
+        return self.scorer
 
     @property
     def capacity(self) -> int:
@@ -308,67 +307,35 @@ def build_runtime(config: TaskConfig, *, need_scoring: bool = True) -> TaskRunti
     """
     if config.synthetic:
         task = task_from_scenario(config.scenario_path)
-        return TaskRuntime(
-            config=config,
-            d_train=task.train,
-            ic=task.ic,
-            d_test=task.test,
-            encoder=task.encoder,
-            oracle=SyntheticOracle(task.landscape),
-            scorer=SyntheticEvalScorer(task.landscape),
-            prompt_spec=SYNTHETIC_PROMPT,
-        )
-
-    d_train = load_examples(config.dataset_paths["train"])
-    ic_examples = load_examples(config.dataset_paths["ic"])
-    d_test = (
-        load_examples(config.dataset_paths["test"])
-        if "test" in config.dataset_paths
-        else None
-    )
-
-    spec = config.encoder_spec
-    if spec["backend"] == "hash":
-        encoder: EncoderBackend = HashEncoder(spec.get("dim", 64), spec.get("seed", 0))
+        d_train, ic, d_test, encoder = task.train, task.ic, task.test, task.encoder
+        scorer: Scorer | None = SyntheticOracle(task.landscape)
+        prompt_spec = SYNTHETIC_PROMPT
     else:
-        encoder = RemoteEncoder(spec.get("url"))
-    encoder = CachingEncoder(encoder)
-
-    ic = build_in_context_set(ic_examples, encoder, config.retrieval_fields, config.label_space)
-
-    if not need_scoring:
-        return TaskRuntime(
-            config=config,
-            d_train=d_train,
-            ic=ic,
-            d_test=d_test,
-            encoder=encoder,
-            oracle=None,
-            scorer=None,
-            prompt_spec=config.prompt_spec,
+        d_train = load_examples(config.dataset_paths["train"])
+        ic_examples = load_examples(config.dataset_paths["ic"])
+        d_test = (
+            load_examples(config.dataset_paths["test"])
+            if "test" in config.dataset_paths
+            else None
         )
+        spec = config.encoder_spec
+        if spec["backend"] == "hash":
+            encoder: EncoderBackend = HashEncoder(spec.get("dim", 64), spec.get("seed", 0))
+        else:
+            encoder = RemoteEncoder(spec.get("url"))
+        encoder = CachingEncoder(encoder)
+        ic = build_in_context_set(ic_examples, encoder, config.retrieval_fields, config.label_space)
+        scorer = _lm_scorer(config) if need_scoring else None
+        prompt_spec = config.prompt_spec
+    return TaskRuntime(config, d_train, ic, d_test, encoder, scorer, prompt_spec)
 
+
+def _lm_scorer(config: TaskConfig) -> Scorer:
     if config.lm_spec["backend"] == "synthetic":
         scenario = load_scenario(_resolve(config.path.parent, config.lm_spec["scenario"]))
         if int(scenario["m"]) != config.train.m:
             raise ConfigError(
                 f"{config.path}: lm scenario m={scenario['m']} != train.m={config.train.m}"
             )
-        landscape = landscape_from_scenario(scenario)
-        oracle: RewardOracle = SyntheticOracle(landscape)
-        scorer: EvalScorer = SyntheticEvalScorer(landscape)
-    else:
-        backend = RemoteLM(config.lm_spec.get("url"))
-        oracle = LMOracle(backend, config.reward, config.label_space)
-        scorer = LMEvalScorer(backend, config.reward, config.label_space)
-
-    return TaskRuntime(
-        config=config,
-        d_train=d_train,
-        ic=ic,
-        d_test=d_test,
-        encoder=encoder,
-        oracle=oracle,
-        scorer=scorer,
-        prompt_spec=config.prompt_spec,
-    )
+        return SyntheticOracle(landscape_from_scenario(scenario))
+    return LMOracle(RemoteLM(config.lm_spec.get("url")), config.reward, config.label_space)

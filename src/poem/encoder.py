@@ -151,11 +151,6 @@ class HashEncoder:
         return direction
 
 
-def hash_test_encoder(dim: int, seed: int = 0) -> HashEncoder:
-    """Deterministic stand-in for a sentence-embedding service."""
-    return HashEncoder(dim, seed)
-
-
 class CachingEncoder:
     """Memoizes a backend per exact text; semantically invisible wrapper.
 

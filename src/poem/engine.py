@@ -16,7 +16,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -99,13 +99,21 @@ def epsilon_greedy(
     return exploit(), False
 
 
-class RewardOracle(Protocol):
-    """Scores one constructed episode; backends: LM client or synthetic env."""
+class Scorer(Protocol):
+    """Scores episodes for one reward backend (an LM client or the synthetic env).
 
-    id: str
+    reward() is the training signal; score() is the evaluation view of the
+    same episode: its reward plus task-metric correctness (None when the
+    metric does not apply), named by metric_name.
+    """
+
+    metric_name: str
 
     def reward(self, *, prompt: str, state: Embedding, ordered: Sequence[Example],
                truth: str | None) -> float: ...
+
+    def score(self, *, prompt: str, state: Embedding, ordered: Sequence[Example],
+              action: Action | None, truth: str | None) -> tuple[float, bool | None]: ...
 
 
 @dataclass
@@ -159,11 +167,11 @@ def _with_context(exc: PoemError, context: str) -> PoemError:
     return clone
 
 
-def _score_jobs(oracle: RewardOracle, jobs: list[dict], in_flight: int) -> list[float]:
+def _score_jobs(scorer: Scorer, jobs: list[dict], in_flight: int) -> list[float]:
     def one(job: dict) -> float:
         try:
             return float(
-                oracle.reward(
+                scorer.reward(
                     prompt=job["prompt"],
                     state=job["record"].embedding,
                     ordered=job["ordered"],
@@ -180,12 +188,47 @@ def _score_jobs(oracle: RewardOracle, jobs: list[dict], in_flight: int) -> list[
         return list(pool.map(one, jobs))
 
 
+def _episode_plan(
+    cfg: TrainConfig,
+    d_train: Sequence[Example],
+    records: Sequence[StateRecord],
+    actions: Sequence[Action],
+    memory: EpisodicMemory,
+):
+    """Per iteration, the episodes to score as (training position, action, error context).
+
+    exhaustive mode takes one state per iteration with every action.
+    epsilon_greedy mode draws a minibatch per iteration (uniformly without
+    replacement) and picks each action with the decaying policy. Being a
+    generator, it makes an iteration's choices only after the previous
+    iteration's writes, all against that batch-start memory.
+    """
+    if cfg.exploration_mode == "exhaustive":
+        for i, sample in enumerate(d_train):
+            context = f"exhaustive sweep, state {i} (index {sample.index}), action "
+            yield [(i, a, context + action_key(a)) for a in actions]
+        return
+    rng = np.random.default_rng(cfg.seed)
+    batch_size = min(cfg.minibatch_size, len(d_train))
+    for t in range(cfg.iterations):
+        eps = epsilon_at(t, cfg)
+        batch = [int(i) for i in rng.choice(len(d_train), size=batch_size, replace=False)]
+        yield [
+            (
+                i,
+                epsilon_greedy(rng, eps, actions, lambda: memory.best_action(records[i], cfg.k))[0],
+                f"iteration {t}, sample index {d_train[i].index}",
+            )
+            for i in batch
+        ]
+
+
 def train(
     cfg: TrainConfig,
     d_train: Sequence[Example],
     ic: InContextSet,
     encoder: EncoderBackend,
-    oracle: RewardOracle,
+    scorer: Scorer,
     memory: EpisodicMemory,
     prompt_spec: PromptSpec,
     *,
@@ -211,71 +254,33 @@ def train(
     started = time.perf_counter()
     mean_rewards: list[float] = []
     fill_ratios: list[float] = []
+    selected: dict[int, list[Example]] = {}  # training position -> its examples
     writes = 0
-    note = None
 
-    if cfg.exploration_mode == "exhaustive":
-        note = (
-            "exhaustive sweep over every (state, action) pair; "
-            "harness extension, not the epsilon-greedy procedure"
-        )
-        for block, (sample, record) in enumerate(zip(d_train, records)):
-            t_s = select_examples(record.embedding, ic, cfg.m)
-            jobs = []
-            for a in actions:
-                ordered = reorder(t_s, a)
-                jobs.append(
-                    {
-                        "record": record,
-                        "action": a,
-                        "ordered": ordered,
-                        "prompt": build_prompt(prompt_spec, ordered, sample.fields),
-                        "truth": sample.label,
-                        "context": f"exhaustive sweep, state {block} (index {sample.index}), "
-                                   f"action {action_key(a)}",
-                    }
-                )
-            rewards = _score_jobs(oracle, jobs, cfg.in_flight)
-            for job, r in zip(jobs, rewards):
-                memory.write(job["record"], job["action"], r)
-                writes += 1
-            mean_rewards.append(float(np.mean(rewards)))
-            fill_ratios.append(memory.filled_pairs() / denominator)
-            if on_iteration is not None:
-                on_iteration(block, memory)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        batch_size = min(cfg.minibatch_size, len(d_train))
-        for t in range(cfg.iterations):
-            eps = epsilon_at(t, cfg)
-            batch = rng.choice(len(d_train), size=batch_size, replace=False)
-            jobs = []
-            for idx in batch:
-                sample = d_train[int(idx)]
-                record = records[int(idx)]
-                t_s = select_examples(record.embedding, ic, cfg.m)
-                a, _ = epsilon_greedy(
-                    rng, eps, actions, lambda: memory.best_action(record, cfg.k)
-                )
-                ordered = reorder(t_s, a)
-                jobs.append(
-                    {
-                        "record": record,
-                        "action": a,
-                        "ordered": ordered,
-                        "prompt": build_prompt(prompt_spec, ordered, sample.fields),
-                        "truth": sample.label,
-                        "context": f"iteration {t}, sample index {sample.index}",
-                    }
-                )
-            rewards = _score_jobs(oracle, jobs, cfg.in_flight)
-            for job, r in zip(jobs, rewards):
-                memory.write(job["record"], job["action"], r)
-                writes += 1
-            mean_rewards.append(float(np.mean(rewards)))
-            fill_ratios.append(memory.filled_pairs() / denominator)
-            if on_iteration is not None:
-                on_iteration(t, memory)
+    for t, episodes in enumerate(_episode_plan(cfg, d_train, records, actions, memory)):
+        jobs = []
+        for i, action, context in episodes:
+            if i not in selected:
+                selected[i] = select_examples(records[i].embedding, ic, cfg.m)
+            ordered = reorder(selected[i], action)
+            jobs.append(
+                {
+                    "record": records[i],
+                    "action": action,
+                    "ordered": ordered,
+                    "prompt": build_prompt(prompt_spec, ordered, d_train[i].fields),
+                    "truth": d_train[i].label,
+                    "context": context,
+                }
+            )
+        rewards = _score_jobs(scorer, jobs, cfg.in_flight)
+        for job, r in zip(jobs, rewards):
+            memory.write(job["record"], job["action"], r)
+            writes += 1
+        mean_rewards.append(float(np.mean(rewards)))
+        fill_ratios.append(memory.filled_pairs() / denominator)
+        if on_iteration is not None:
+            on_iteration(t, memory)
 
     report = RunReport(
         seed=cfg.seed,
@@ -287,7 +292,11 @@ def train(
         states_stored=len(memory),
         writes=writes,
         wall_clock_seconds=time.perf_counter() - started,
-        note=note,
+        note=(
+            "exhaustive sweep over every (state, action) pair; "
+            "harness extension, not the epsilon-greedy procedure"
+            if cfg.exploration_mode == "exhaustive" else None
+        ),
     )
     return memory, report
 
@@ -326,15 +335,6 @@ def infer(
     )
 
 
-class EvalScorer(Protocol):
-    """Scores one evaluation episode: reward plus task-metric correctness."""
-
-    metric_name: str
-
-    def score(self, *, prompt: str, state: Embedding, ordered: Sequence[Example],
-              action: Action | None, truth: str | None) -> tuple[float, bool | None]: ...
-
-
 @dataclass
 class EvalRow:
     baseline: str
@@ -343,51 +343,71 @@ class EvalRow:
     n: int
 
 
-@dataclass
-class EvalReport:
-    metric_name: str
-    seed: int
-    rows: list[EvalRow]
+class _Table:
+    """Row lookup and the JSON/text/CSV renderings shared by the report tables.
 
-    def row(self, baseline: str) -> EvalRow:
+    COLUMNS holds (row attribute, text header, text alignment and width,
+    text number format) per column. The "metric" column is headed by the
+    report's metric name; other CSV headers are the attribute names. Text
+    ranks rows by mean reward, best first; CSV keeps row order. A missing
+    value shows as "-" in text and as an empty CSV cell.
+    """
+
+    COLUMNS: tuple[tuple[str, str | None, str, str], ...] = ()
+    metric_name: str
+    rows: list
+
+    def row(self, baseline: str):
         for r in self.rows:
             if r.baseline == baseline:
                 return r
         raise KeyError(baseline)
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric_name,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "baseline": r.baseline,
-                    "mean_reward": r.mean_reward,
-                    "metric": r.metric,
-                    "n": r.n,
-                }
-                for r in self.rows
-            ],
-        }
+    def ranking(self) -> list[str]:
+        """Baselines ordered by mean reward, best first."""
+        return [r.baseline for r in sorted(self.rows, key=lambda r: -r.mean_reward)]
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
-        ranked = sorted(self.rows, key=lambda r: -r.mean_reward)
-        lines = [f"{'baseline':<12} {'mean_reward':>12} {self.metric_name:>14} {'n':>6}"]
-        for r in ranked:
-            metric = f"{r.metric:.4f}" if r.metric is not None else "-"
-            lines.append(f"{r.baseline:<12} {r.mean_reward:>12.6f} {metric:>14} {r.n:>6}")
+        header = [format(self.metric_name if text is None else text, width)
+                  for _, text, width, _ in self.COLUMNS]
+        lines = [" ".join(header)]
+        for r in sorted(self.rows, key=lambda r: -r.mean_reward):
+            cells = []
+            for attr, _, width, number in self.COLUMNS:
+                value = getattr(r, attr)
+                cells.append(format("-", width) if value is None else format(value, width + number))
+            lines.append(" ".join(cells))
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["baseline", "mean_reward", self.metric_name, "n"])
+        writer.writerow(self.metric_name if attr == "metric" else attr for attr, *_ in self.COLUMNS)
         for r in self.rows:
-            writer.writerow([r.baseline, repr(r.mean_reward), "" if r.metric is None else repr(r.metric), r.n])
+            writer.writerow("" if getattr(r, attr) is None else getattr(r, attr)
+                            for attr, *_ in self.COLUMNS)
         return buf.getvalue()
+
+
+@dataclass
+class EvalReport(_Table):
+    metric_name: str
+    seed: int
+    rows: list[EvalRow]
+
+    COLUMNS = (
+        ("baseline", "baseline", "<12", ""),
+        ("mean_reward", "mean_reward", ">12", ".6f"),
+        ("metric", None, ">14", ".4f"),
+        ("n", "n", ">6", ""),
+    )
+
+    def to_dict(self) -> dict:
+        rows = [asdict(r) for r in self.rows]
+        return {"metric": self.metric_name, "seed": self.seed, "rows": rows}
 
 
 def evaluate(
@@ -397,7 +417,7 @@ def evaluate(
     encoder: EncoderBackend,
     cfg: TrainConfig,
     prompt_spec: PromptSpec,
-    scorer: EvalScorer,
+    scorer: Scorer,
     *,
     baselines: Sequence[str] = BASELINES,
     seed: int = 0,
@@ -468,7 +488,7 @@ class AggregateRow:
 
 
 @dataclass
-class AggregateReport:
+class AggregateReport(_Table):
     """Per-baseline mean and seed spread over several evaluation runs."""
 
     metric_name: str
@@ -476,70 +496,22 @@ class AggregateReport:
     per_seed: list[EvalReport]
     rows: list[AggregateRow]
 
-    def row(self, baseline: str) -> AggregateRow:
-        for r in self.rows:
-            if r.baseline == baseline:
-                return r
-        raise KeyError(baseline)
-
-    def ranking(self) -> list[str]:
-        """Baselines ordered by mean reward, best first."""
-        return [r.baseline for r in sorted(self.rows, key=lambda r: -r.mean_reward)]
+    COLUMNS = (
+        ("baseline", "baseline", "<12", ""),
+        ("mean_reward", "mean_reward", ">12", ".6f"),
+        ("reward_std", "+/-", ">10", ".6f"),
+        ("metric", None, ">14", ".4f"),
+        ("metric_std", "+/-", ">10", ".4f"),
+        ("seeds", "seeds", ">6", ""),
+    )
 
     def to_dict(self) -> dict:
         return {
             "metric": self.metric_name,
             "seeds": self.seeds,
-            "rows": [
-                {
-                    "baseline": r.baseline,
-                    "mean_reward": r.mean_reward,
-                    "reward_std": r.reward_std,
-                    "metric": r.metric,
-                    "metric_std": r.metric_std,
-                    "seeds": r.seeds,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "per_seed": [rep.to_dict() for rep in self.per_seed],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        ranked = sorted(self.rows, key=lambda r: -r.mean_reward)
-        lines = [
-            f"{'baseline':<12} {'mean_reward':>12} {'+/-':>10} "
-            f"{self.metric_name:>14} {'+/-':>10} {'seeds':>6}"
-        ]
-        for r in ranked:
-            metric = f"{r.metric:.4f}" if r.metric is not None else "-"
-            metric_std = f"{r.metric_std:.4f}" if r.metric_std is not None else "-"
-            lines.append(
-                f"{r.baseline:<12} {r.mean_reward:>12.6f} {r.reward_std:>10.6f} "
-                f"{metric:>14} {metric_std:>10} {r.seeds:>6}"
-            )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["baseline", "mean_reward", "reward_std", self.metric_name, "metric_std", "seeds"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.baseline,
-                    repr(r.mean_reward),
-                    repr(r.reward_std),
-                    "" if r.metric is None else repr(r.metric),
-                    "" if r.metric_std is None else repr(r.metric_std),
-                    r.seeds,
-                ]
-            )
-        return buf.getvalue()
 
 
 def aggregate_reports(reports: Sequence[EvalReport]) -> AggregateReport:

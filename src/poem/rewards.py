@@ -221,31 +221,13 @@ class RemoteLM:
 
 
 class LMOracle:
-    """Training-time reward oracle backed by a scoring LM."""
+    """Scorer backed by a scoring LM: training rewards and evaluation scores.
 
-    def __init__(self, backend: ScoringBackend, cfg: RewardConfig,
-                 labels: Sequence[str] | None = None):
-        if cfg.kind == "classification" and not labels:
-            raise InvalidInputError("classification scoring needs the label space")
-        self.backend = backend
-        self.cfg = cfg
-        self.labels = tuple(labels) if labels is not None else None
-        self.id = f"lm:{backend.id}:{cfg.kind}"
-
-    def reward(self, *, prompt, state, ordered, truth) -> float:
-        if truth is None:
-            raise InvalidInputError("reward scoring needs a ground-truth label")
-        request = request_for(self.cfg.kind, prompt, truth, self.labels)
-        response = score_prompt(self.backend, request)
-        return reward_from_response(self.cfg, truth, response)
-
-
-class LMEvalScorer:
-    """Evaluation scorer backed by a scoring LM.
-
-    Correctness per kind: classification compares the argmax label to the
-    truth, sequence checks the truth sequence outscores the backend's rival,
-    exact match is the reward itself.
+    Both send one request and turn its response into the configured reward.
+    Evaluation correctness per kind: classification compares the argmax
+    label (ties to the lexicographically first) to the truth, sequence
+    checks the truth sequence outscores the backend's rival, exact match is
+    the reward itself.
     """
 
     def __init__(self, backend: ScoringBackend, cfg: RewardConfig,
@@ -255,14 +237,21 @@ class LMEvalScorer:
         self.backend = backend
         self.cfg = cfg
         self.labels = tuple(labels) if labels is not None else None
+        self.id = f"lm:{backend.id}:{cfg.kind}"
         self.metric_name = "exact_match" if cfg.kind == "exact_match" else "accuracy"
 
-    def score(self, *, prompt, state, ordered, action, truth) -> tuple[float, bool | None]:
+    def _respond(self, prompt: str, truth: str | None) -> tuple[float, ScoreResponse]:
         if truth is None:
-            raise InvalidInputError("evaluation needs a ground-truth label")
+            raise InvalidInputError("LM scoring needs a ground-truth label")
         request = request_for(self.cfg.kind, prompt, truth, self.labels)
         response = score_prompt(self.backend, request)
-        reward = reward_from_response(self.cfg, truth, response)
+        return reward_from_response(self.cfg, truth, response), response
+
+    def reward(self, *, prompt, state, ordered, truth) -> float:
+        return self._respond(prompt, truth)[0]
+
+    def score(self, *, prompt, state, ordered, action, truth) -> tuple[float, bool | None]:
+        reward, response = self._respond(prompt, truth)
         if self.cfg.kind == "classification":
             scores = response.per_label_logprob
             predicted = max(sorted(scores), key=lambda label: scores[label])
@@ -272,6 +261,10 @@ class LMEvalScorer:
         else:
             correct = reward == 1.0
         return reward, correct
+
+
+# the evaluation scorer's former name, kept for code written against it
+LMEvalScorer = LMOracle
 
 
 def _parse_response(data: dict) -> ScoreResponse:

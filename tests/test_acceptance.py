@@ -20,7 +20,6 @@ from poem import (
     RewardConfig,
     ScoreRequest,
     StateRecord,
-    SyntheticEvalScorer,
     SyntheticOracle,
     TrainConfig,
     aggregate_reports,
@@ -181,7 +180,7 @@ def _greedy_pipeline(seed):
     )
     table = evaluate(
         memory, task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT,
-        SyntheticEvalScorer(task.landscape), seed=seed,
+        SyntheticOracle(task.landscape), seed=seed,
     )
     return report, table
 

@@ -11,7 +11,6 @@ from poem import (
     HashEncoder,
     cosine_similarity,
     encode_state,
-    hash_test_encoder,
 )
 from poem.errors import InvalidInputError
 
@@ -130,7 +129,7 @@ class TestHashEncoder:
         assert cosine_similarity(a, b) < 1.0
 
     def test_near_duplicates_beat_unrelated_probes(self):
-        enc = hash_test_encoder(64, seed=9)
+        enc = HashEncoder(64, seed=9)
         base, near = enc.encode(["the cat sat", "the cat sat."])
         probes = enc.encode(
             [

@@ -7,7 +7,6 @@ from poem import (
     BiasLandscape,
     Embedding,
     EpisodicMemory,
-    SyntheticEvalScorer,
     SyntheticOracle,
     TrainConfig,
     aggregate_reports,
@@ -266,7 +265,7 @@ class TestInfer:
 
 
 def _scorer(task):
-    return SyntheticEvalScorer(task.landscape)
+    return SyntheticOracle(task.landscape)
 
 
 class TestEvaluate:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poem import (
+    LMOracle,
     RewardConfig,
     ScoreRequest,
     ScoreResponse,
@@ -14,6 +15,7 @@ from poem import (
     score_prompt,
     sequence_reward,
 )
+from poem import rewards
 from poem.errors import InvalidInputError, ProtocolError
 from poem.rewards import normalize_answer
 
@@ -198,3 +200,85 @@ class TestScorePrompt:
         backend = _StaticBackend(ScoreResponse(generated_text="x"))
         with pytest.raises(InvalidInputError):
             score_prompt(backend, ScoreRequest(prompt="", mode="generate"))
+
+
+class TestLMOracle:
+    LABELS = ("neg", "pos")
+    CASES = {
+        # kind: (response, truth, expected reward)
+        "classification": (
+            ScoreResponse(per_label_logprob={"neg": -2.0, "pos": -0.5}), "pos",
+            2.0 * -0.5 - 1.8 * -2.0,
+        ),
+        "sequence": (
+            ScoreResponse(truth_logprobs=(-0.5, -0.25), rival_logprobs=(-1.0,)), "pos",
+            2.0 * -0.75 - 1.8 * -1.0,
+        ),
+        "exact_match": (ScoreResponse(generated_text="  Paris "), "paris", 1.0),
+    }
+
+    def oracle(self, kind, response, labels=LABELS):
+        return LMOracle(_StaticBackend(response), RewardConfig(kind=kind), labels)
+
+    def classifier(self, logprobs):
+        return self.oracle("classification", ScoreResponse(per_label_logprob=logprobs))
+
+    def score(self, oracle, truth):
+        return oracle.score(prompt="p", state=None, ordered=[], action=None, truth=truth)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_reward_is_score_reward(self, kind):
+        response, truth, expected = self.CASES[kind]
+        oracle = self.oracle(kind, response)
+        reward = oracle.reward(prompt="p", state=None, ordered=[], truth=truth)
+        assert reward == self.score(oracle, truth)[0] == pytest.approx(expected)
+        first, second = oracle.backend.requests
+        assert first == second and first.truth == truth
+
+    def test_metric_names(self):
+        assert self.oracle("classification", None).metric_name == "accuracy"
+        assert self.oracle("sequence", None).metric_name == "accuracy"
+        assert self.oracle("exact_match", None).metric_name == "exact_match"
+
+    def test_classification_correct_is_argmax(self):
+        oracle = self.classifier({"neg": -2.0, "pos": -0.5})
+        assert self.score(oracle, "pos")[1] is True
+        assert self.score(oracle, "neg")[1] is False
+
+    def test_classification_tie_goes_to_first_label(self):
+        oracle = self.classifier({"pos": -1.0, "neg": -1.0})
+        assert self.score(oracle, "neg")[1] is True
+        assert self.score(oracle, "pos")[1] is False
+
+    @pytest.mark.parametrize("truth_lp, rival_lp, correct", [
+        ((-0.5, -0.5), (-2.0,), True),
+        ((-1.0, -1.0), (-2.0,), True),  # equal sums count as correct
+        ((-1.5, -1.0), (-2.0,), False),
+    ])
+    def test_sequence_correct_when_truth_outscores_rival(self, truth_lp, rival_lp, correct):
+        response = ScoreResponse(truth_logprobs=truth_lp, rival_logprobs=rival_lp)
+        oracle = self.oracle("sequence", response)
+        assert self.score(oracle, "x")[1] is correct
+
+    def test_exact_match_correct_is_reward(self):
+        oracle = self.oracle("exact_match", ScoreResponse(generated_text="Paris"))
+        assert self.score(oracle, " paris") == (1.0, True)
+        assert self.score(oracle, "London") == (0.0, False)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_missing_truth_rejected(self, kind):
+        oracle = self.oracle(kind, self.CASES[kind][0])
+        with pytest.raises(InvalidInputError, match="ground-truth"):
+            oracle.reward(prompt="p", state=None, ordered=[], truth=None)
+        with pytest.raises(InvalidInputError, match="ground-truth"):
+            self.score(oracle, None)
+        assert oracle.backend.requests == []
+
+    @pytest.mark.parametrize("labels", [None, ()])
+    def test_classification_needs_labels(self, labels):
+        with pytest.raises(InvalidInputError, match="label space"):
+            self.oracle("classification", None, labels=labels)
+        self.oracle("exact_match", None, labels=labels)  # other kinds do without
+
+    def test_former_scorer_name_is_the_same_class(self):
+        assert rewards.LMEvalScorer is LMOracle

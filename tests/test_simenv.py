@@ -10,16 +10,21 @@ from poem import (
     BiasLandscape,
     Embedding,
     Example,
+    SyntheticOracle,
     brute_force_best,
     cosine_similarity,
+    enumerate_actions,
     generate_task,
     identity_action,
     noise_component,
     noiseless_reward,
+    reorder,
     reversal_action,
+    select_examples,
     synth_reward,
     task_from_scenario,
 )
+from poem import simenv
 from poem.errors import ConfigError, InvalidInputError
 from poem.simenv import PlantedEncoder, load_scenario
 
@@ -216,3 +221,44 @@ class TestPlantedEncoder:
     def test_empty_table_rejected(self):
         with pytest.raises(InvalidInputError):
             PlantedEncoder({})
+
+
+class TestSyntheticOracleScore:
+    def test_agrees_with_brute_force_for_every_ordering(self, monkeypatch):
+        landscape = BiasLandscape.descending(4, noise_sigma=0.1, seed=2)
+        task = generate_task(5, SIZES, 2, m=4, landscape=landscape)
+        state = task.test[0].embedding
+        chosen = select_examples(state, task.ic, 4)
+        best = brute_force_best(landscape, state, chosen)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return brute_force_best(*args)
+
+        monkeypatch.setattr(simenv, "brute_force_best", counted)
+        scorer = SyntheticOracle(landscape)
+        hits = 0
+        for action in enumerate_actions(4):
+            ordered = reorder(chosen, action)
+            reward, correct = scorer.score(prompt="", state=state, ordered=ordered,
+                                           action=action, truth=None)
+            assert reward == noiseless_reward(landscape, state, ordered)
+            assert correct == (action == best)
+            hits += correct
+        assert hits == 1
+        assert len(calls) == 1  # once per (state, example set), whatever the ordering
+
+        other = task.test[1].embedding
+        scorer.score(prompt="", state=other, ordered=select_examples(other, task.ic, 4),
+                     action=identity_action(4), truth=None)
+        assert len(calls) == 2
+
+    def test_zero_shot_has_no_signal(self, monkeypatch):
+        monkeypatch.setattr(simenv, "brute_force_best", None)  # must not be called
+        scorer = SyntheticOracle(BiasLandscape.descending(4))
+        assert scorer.score(prompt="q", state=emb([1.0, 0.0]), ordered=[], action=None,
+                            truth=None) == (0.0, None)
+
+    def test_former_scorer_name_is_the_same_class(self):
+        assert simenv.SyntheticEvalScorer is SyntheticOracle
