@@ -1,7 +1,7 @@
 W ?= scenario_sim
 SEED ?= 1
 
-.PHONY: test bench-smoke bench
+.PHONY: test bench-smoke bench loc
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -11,3 +11,6 @@ bench-smoke:
 
 bench:
 	python3 benchmarks/run.py --workload $(W) --seed $(SEED) --seconds 25 --trace 0
+
+loc:
+	wc -l src/poem/*.py | tail -1

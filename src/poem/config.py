@@ -9,14 +9,13 @@ template placeholder or a missing file is rejected before any network call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .encoder import CachingEncoder, EncoderBackend, HashEncoder, RemoteEncoder
 from .engine import BASELINES, Scorer, TrainConfig
-from .errors import ConfigError, InvalidInputError, PoemError
+from .errors import ConfigError, InvalidInputError, PoemError, read_json_object
 from .prompts import LABEL_PLACEHOLDER, PromptSpec, Template, placeholders
 from .rewards import LMOracle, RemoteLM, RewardConfig
 from .selection import Example, InContextSet, build_in_context_set, load_examples
@@ -44,8 +43,8 @@ class TaskConfig:
     train: TrainConfig
     capacity: int | None
     eval_baselines: tuple[str, ...]
-    # synthetic mode
-    scenario_path: Path | None = None
+    # the parsed scenario: the task in synthetic mode, a synthetic LM's landscape otherwise
+    scenario: dict | None = None
     # dataset mode
     dataset_paths: dict[str, Path] | None = None
     retrieval_fields: tuple[str, ...] | None = None
@@ -57,7 +56,7 @@ class TaskConfig:
 
     @property
     def synthetic(self) -> bool:
-        return self.scenario_path is not None
+        return self.dataset_paths is None
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -121,21 +120,12 @@ def _parse_templates(raw: dict, fields: Sequence[str], where: str) -> PromptSpec
 
 def load_task_config(path: str | Path) -> TaskConfig:
     """Read and fully validate a task configuration document."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such config file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_task_config(raw, path)
+    return parse_task_config(read_json_object(path, "config", ConfigError), path)
 
 
-def parse_task_config(raw, path: str | Path) -> TaskConfig:
+def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
     """Validate a configuration document; its relative paths resolve against path's folder."""
     path = Path(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     base = path.parent
     name = raw.get("name", path.stem)
     if not isinstance(name, str):
@@ -156,6 +146,7 @@ def parse_task_config(raw, path: str | Path) -> TaskConfig:
     for b in baselines:
         if b not in BASELINES:
             raise ConfigError(f"{path}: eval.baselines: unknown baseline {b!r}")
+    common = {"path": path, "name": name, "capacity": capacity, "eval_baselines": baselines}
 
     if "synthetic" in raw:
         if "datasets" in raw:
@@ -163,8 +154,7 @@ def parse_task_config(raw, path: str | Path) -> TaskConfig:
         synth = raw["synthetic"]
         if not isinstance(synth, dict) or not isinstance(synth.get("scenario"), str):
             raise ConfigError(f"{path}: 'synthetic.scenario' must be a path string")
-        scenario_path = _resolve(base, synth["scenario"])
-        scenario = load_scenario(scenario_path)  # validates the file now
+        scenario = load_scenario(_resolve(base, synth["scenario"]))
         scenario_train = dict(scenario.get("train", {}))
         scenario_train.setdefault("m", scenario["m"])
         scenario_train.update(train_raw)
@@ -173,14 +163,7 @@ def parse_task_config(raw, path: str | Path) -> TaskConfig:
             raise ConfigError(
                 f"{path}: train.m={train.m} does not match the scenario's m={scenario['m']}"
             )
-        return TaskConfig(
-            path=path,
-            name=name,
-            train=train,
-            capacity=capacity,
-            eval_baselines=baselines,
-            scenario_path=scenario_path,
-        )
+        return TaskConfig(**common, train=train, scenario=scenario)
 
     # dataset mode
     datasets = raw.get("datasets")
@@ -248,21 +231,20 @@ def parse_task_config(raw, path: str | Path) -> TaskConfig:
     lm_spec = raw.get("lm")
     if not isinstance(lm_spec, dict) or lm_spec.get("backend") not in ("remote", "synthetic"):
         raise ConfigError(f"{path}: lm.backend must be 'remote' or 'synthetic'")
+    scenario = None
     if lm_spec["backend"] == "synthetic":
         if not isinstance(lm_spec.get("scenario"), str):
             raise ConfigError(f"{path}: lm.scenario must point at a scenario file")
-        load_scenario(_resolve(base, lm_spec["scenario"]))  # validate now
+        scenario = load_scenario(_resolve(base, lm_spec["scenario"]))
     elif reward.kind == "classification" and label_space is None:
         # the remote scorer needs the label strings to request log-probs for
         raise ConfigError(f"{path}: classification reward needs a 'label_space'")
 
     train = parse_train(train_raw, str(path))
     return TaskConfig(
-        path=path,
-        name=name,
+        **common,
         train=train,
-        capacity=capacity,
-        eval_baselines=baselines,
+        scenario=scenario,
         dataset_paths=dataset_paths,
         retrieval_fields=retrieval_fields,
         label_space=label_space,
@@ -306,7 +288,7 @@ def build_runtime(config: TaskConfig, *, need_scoring: bool = True) -> TaskRunti
     required), which is all prompt-ordering commands need.
     """
     if config.synthetic:
-        task = task_from_scenario(config.scenario_path)
+        task = task_from_scenario(config.scenario)
         d_train, ic, d_test, encoder = task.train, task.ic, task.test, task.encoder
         scorer: Scorer | None = SyntheticOracle(task.landscape)
         prompt_spec = SYNTHETIC_PROMPT
@@ -332,7 +314,7 @@ def build_runtime(config: TaskConfig, *, need_scoring: bool = True) -> TaskRunti
 
 def _lm_scorer(config: TaskConfig) -> Scorer:
     if config.lm_spec["backend"] == "synthetic":
-        scenario = load_scenario(_resolve(config.path.parent, config.lm_spec["scenario"]))
+        scenario = config.scenario
         if int(scenario["m"]) != config.train.m:
             raise ConfigError(
                 f"{config.path}: lm scenario m={scenario['m']} != train.m={config.train.m}"

@@ -12,7 +12,6 @@ computation, so snapshots round-trip backend output unchanged.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import wire
 from .errors import BackendError, InvalidInputError, ProtocolError
-
-EMBED_URL_ENV = "POEM_EMBED_URL"
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ class CachingEncoder:
             return len(self._cache)
 
 
-class RemoteEncoder:
+class RemoteEncoder(wire.Endpoint):
     """HTTP embedding backend.
 
     Wire contract: POST {"texts": ["...", ...]} to the endpoint; the service
@@ -193,37 +190,12 @@ class RemoteEncoder:
     errors. The endpoint comes from the constructor or POEM_EMBED_URL.
     """
 
-    def __init__(
-        self,
-        url: str | None = None,
-        *,
-        max_attempts: int = wire.DEFAULT_MAX_ATTEMPTS,
-        backoff: float = wire.DEFAULT_BACKOFF_SECONDS,
-        timeout: float = wire.DEFAULT_TIMEOUT_SECONDS,
-        session=None,
-    ):
-        url = url or os.environ.get(EMBED_URL_ENV)
-        if not url:
-            raise InvalidInputError(
-                f"no embedding endpoint configured: pass url= or set {EMBED_URL_ENV}"
-            )
-        self.url = url
-        self.id = f"remote:{url}"
-        self._max_attempts = max_attempts
-        self._backoff = backoff
-        self._timeout = timeout
-        self._session = session
+    url_env = "POEM_EMBED_URL"
+    service = "embedding"
 
     def encode(self, texts: Sequence[str]) -> list[Embedding]:
         texts = list(texts)
-        data = wire.post_json(
-            self.url,
-            {"texts": texts},
-            max_attempts=self._max_attempts,
-            backoff=self._backoff,
-            timeout=self._timeout,
-            session=self._session,
-        )
+        data = self.post({"texts": texts})
         rows = data.get("embeddings")
         dim = data.get("dim")
         if not isinstance(rows, list) or not isinstance(dim, int):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON document reader."""
+
+import json
+from pathlib import Path
 
 
 class PoemError(Exception):
@@ -36,3 +39,20 @@ class SnapshotError(PoemError):
 
 class ConfigError(PoemError):
     """A task configuration or scenario file failed validation."""
+
+
+def read_json_object(path: str | Path, kind: str, error_cls: type[PoemError]) -> dict:
+    """Read a JSON file whose top level must be an object.
+
+    Any failure raises `error_cls` naming the path and the document's kind.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error_cls(f"{path}: no such {kind} file") from None
+    except json.JSONDecodeError as exc:
+        raise error_cls(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise error_cls(f"{path}: {kind} must be a JSON object")
+    return doc

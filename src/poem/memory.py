@@ -22,7 +22,7 @@ import numpy as np
 
 from .actions import Action, action_key, enumerate_actions, identity_action, parse_action_key
 from .encoder import Embedding, cosine_similarity
-from .errors import InvalidInputError, SnapshotError
+from .errors import InvalidInputError, SnapshotError, read_json_object
 
 SNAPSHOT_VERSION = 1
 
@@ -235,14 +235,7 @@ class EpisodicMemory:
     def restore(cls, path: str | Path) -> "EpisodicMemory":
         """Load a snapshot, reproducing rewards and recency order exactly."""
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise SnapshotError(f"{path}: no such snapshot file") from None
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise SnapshotError(f"{path}: snapshot must be a JSON object")
+        doc = read_json_object(path, "snapshot", SnapshotError)
         version = doc.get("version")
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(

@@ -10,14 +10,11 @@ backend is a wire contract so any LM service can sit behind it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from . import wire
 from .errors import InvalidInputError, ProtocolError
-
-LM_URL_ENV = "POEM_LM_URL"
 
 REWARD_KINDS = ("classification", "sequence", "exact_match")
 
@@ -115,18 +112,6 @@ class ScoringBackend(Protocol):
     def score(self, request: ScoreRequest) -> ScoreResponse: ...
 
 
-def request_for(kind: str, prompt: str, truth: str, labels: Sequence[str] | None) -> ScoreRequest:
-    """Build the wire request matching a reward kind."""
-    if kind not in REWARD_KINDS:
-        raise InvalidInputError(f"unknown reward kind {kind!r}")
-    return ScoreRequest(
-        prompt=prompt,
-        mode=_MODES[kind],
-        labels=tuple(labels) if labels is not None else None,
-        truth=truth,
-    )
-
-
 def score_prompt(backend: ScoringBackend, request: ScoreRequest) -> ScoreResponse:
     """Score a prompt and validate the response against the request mode."""
     if not request.prompt:
@@ -173,7 +158,7 @@ def reward_from_response(cfg: RewardConfig, truth: str, response: ScoreResponse)
     return exact_match_reward(truth, response.generated_text, normalize=cfg.normalize_exact_match)
 
 
-class RemoteLM:
+class RemoteLM(wire.Endpoint):
     """HTTP scoring backend.
 
     Wire contract: POST {"prompt": "...", "mode": "classify|sequence|generate",
@@ -184,24 +169,8 @@ class RemoteLM:
     endpoint comes from the constructor or POEM_LM_URL.
     """
 
-    def __init__(
-        self,
-        url: str | None = None,
-        *,
-        max_attempts: int = wire.DEFAULT_MAX_ATTEMPTS,
-        backoff: float = wire.DEFAULT_BACKOFF_SECONDS,
-        timeout: float = wire.DEFAULT_TIMEOUT_SECONDS,
-        session=None,
-    ):
-        url = url or os.environ.get(LM_URL_ENV)
-        if not url:
-            raise InvalidInputError(f"no LM endpoint configured: pass url= or set {LM_URL_ENV}")
-        self.url = url
-        self.id = f"remote:{url}"
-        self._max_attempts = max_attempts
-        self._backoff = backoff
-        self._timeout = timeout
-        self._session = session
+    url_env = "POEM_LM_URL"
+    service = "LM"
 
     def score(self, request: ScoreRequest) -> ScoreResponse:
         payload: dict = {"prompt": request.prompt, "mode": request.mode}
@@ -209,15 +178,7 @@ class RemoteLM:
             payload["labels"] = list(request.labels)
         if request.truth is not None:
             payload["truth"] = request.truth
-        data = wire.post_json(
-            self.url,
-            payload,
-            max_attempts=self._max_attempts,
-            backoff=self._backoff,
-            timeout=self._timeout,
-            session=self._session,
-        )
-        return _parse_response(data)
+        return _parse_response(self.post(payload))
 
 
 class LMOracle:
@@ -243,7 +204,7 @@ class LMOracle:
     def _respond(self, prompt: str, truth: str | None) -> tuple[float, ScoreResponse]:
         if truth is None:
             raise InvalidInputError("LM scoring needs a ground-truth label")
-        request = request_for(self.cfg.kind, prompt, truth, self.labels)
+        request = ScoreRequest(prompt, _MODES[self.cfg.kind], self.labels, truth)
         response = score_prompt(self.backend, request)
         return reward_from_response(self.cfg, truth, response), response
 

@@ -99,12 +99,11 @@ def select_examples(s: Embedding, ic: InContextSet, m: int) -> list[Example]:
     """Pick the m demonstrations for a query state.
 
     Without a label space this is plain nearest-neighbor retrieval. With G
-    labels and G < m, each label contributes its floor(m/G) closest examples
-    and any remaining slots go to the globally closest unused ones; with
-    G >= m, labels are visited in sorted order taking one closest example
-    each until m are chosen. The result is sorted by descending similarity
-    (ties broken by ascending index), which defines the rank-1-first
-    canonical order downstream.
+    labels, the first m // quota labels in sorted order each give their
+    quota = max(m // G, 1) closest examples (one each from the first m when
+    G >= m), and the globally closest unused ones fill any remaining slots.
+    The result is sorted by descending similarity (ties by ascending index),
+    which defines the rank-1-first canonical order downstream.
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
@@ -118,36 +117,17 @@ def select_examples(s: Embedding, ic: InContextSet, m: int) -> list[Example]:
     if ic.label_space is None:
         chosen = ranked[:m]
     else:
-        labels = ic.label_space
-        if len(labels) < m:
-            quota = m // len(labels)
-            by_label: dict[str, list[Example]] = {lab: [] for lab in labels}
-            for ex in ranked:
-                by_label[ex.label].append(ex)
-            chosen = []
-            for lab in labels:
-                pool = by_label[lab]
-                if len(pool) < quota:
-                    raise SelectionError(
-                        f"label {lab!r} has only {len(pool)} examples, need {quota}"
-                    )
-                chosen.extend(pool[:quota])
-            used = {ex.index for ex in chosen}
-            for ex in ranked:  # fill the m - G*quota remainder globally
-                if len(chosen) == m:
-                    break
-                if ex.index not in used:
-                    chosen.append(ex)
-                    used.add(ex.index)
-        else:
-            chosen = []
-            for lab in labels:
-                if len(chosen) == m:
-                    break
-                pool = [ex for ex in ranked if ex.label == lab]
-                if not pool:
-                    raise SelectionError(f"label {lab!r} has no examples to draw from")
-                chosen.append(pool[0])
+        quota = max(m // len(ic.label_space), 1)
+        chosen = []
+        for lab in ic.label_space[: m // quota]:
+            pool = [ex for ex in ranked if ex.label == lab][:quota]
+            if len(pool) < quota:
+                raise SelectionError(
+                    f"label {lab!r} has only {len(pool)} examples, need {quota}"
+                )
+            chosen.extend(pool)
+        used = {ex.index for ex in chosen}
+        chosen += [ex for ex in ranked if ex.index not in used][: m - len(chosen)]
 
     return sorted(chosen, key=lambda ex: (-sims[ex.index], ex.index))
 

@@ -13,7 +13,6 @@ states to test states is meaningful.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from .actions import Action, enumerate_actions
 from .encoder import Embedding, cosine_similarity
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, read_json_object
 from .selection import Example, InContextSet
 
 SCENARIO_VERSION = 1
@@ -153,7 +152,6 @@ class SyntheticTask:
     ic: InContextSet
     test: list[Example]
     encoder: PlantedEncoder
-    label_space: tuple[str, ...]
 
     @property
     def m(self) -> int:
@@ -235,7 +233,6 @@ def generate_task(
         ic=ic,
         test=test,
         encoder=PlantedEncoder(table, id=f"planted:seed={seed}"),
-        label_space=labels,
     )
 
 
@@ -245,14 +242,7 @@ def generate_task(
 def load_scenario(path: str | Path) -> dict:
     """Read and validate a scenario JSON document."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such scenario file") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: scenario must be a JSON object")
+    doc = read_json_object(path, "scenario", ConfigError)
     if doc.get("version") != SCENARIO_VERSION:
         raise ConfigError(
             f"{path}: unsupported scenario version {doc.get('version')!r} "

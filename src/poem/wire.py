@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Any
 
 import requests
 
-from .errors import BackendError, ProtocolError
+from .errors import BackendError, InvalidInputError, ProtocolError
 
 DEFAULT_MAX_ATTEMPTS = 4
 DEFAULT_BACKOFF_SECONDS = 0.25
@@ -21,7 +22,6 @@ def post_json(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff: float = DEFAULT_BACKOFF_SECONDS,
     timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    session: Any = None,
 ) -> dict[str, Any]:
     """POST a JSON payload and decode a JSON object from the response.
 
@@ -30,10 +30,9 @@ def post_json(
     total attempts. Any other non-200 status fails immediately. A 200 with a
     body that is not a JSON object raises ProtocolError.
     """
-    http = session if session is not None else requests
     for attempt in range(1, max_attempts + 1):
         try:
-            resp = http.post(url, json=payload, timeout=timeout)
+            resp = requests.post(url, json=payload, timeout=timeout)
         except requests.RequestException as exc:
             if attempt == max_attempts:
                 raise BackendError(
@@ -62,3 +61,34 @@ def post_json(
             status=resp.status_code,
         )
     raise AssertionError("unreachable")
+
+
+class Endpoint:
+    """A JSON service at one URL, posted to with one retry policy.
+
+    The URL comes from the constructor or else from the environment variable
+    a subclass names in `url_env`; with neither, the error names `service`.
+    """
+
+    url_env: str
+    service: str
+
+    def __init__(
+        self,
+        url: str | None = None,
+        *,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        backoff: float = DEFAULT_BACKOFF_SECONDS,
+        timeout: float = DEFAULT_TIMEOUT_SECONDS,
+    ):
+        url = url or os.environ.get(self.url_env)
+        if not url:
+            raise InvalidInputError(
+                f"no {self.service} endpoint configured: pass url= or set {self.url_env}"
+            )
+        self.url = url
+        self.id = f"remote:{url}"
+        self._retry = {"max_attempts": max_attempts, "backoff": backoff, "timeout": timeout}
+
+    def post(self, payload: dict[str, Any]) -> dict[str, Any]:
+        return post_json(self.url, payload, **self._retry)

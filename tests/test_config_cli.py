@@ -64,6 +64,47 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="bogus"):
             load_task_config(bad)
 
+    @staticmethod
+    def _offline_doc(**changes):
+        """sentiment_offline.json with absolute dataset paths, so it can move."""
+        doc = json.loads(OFFLINE_CONFIG.read_text())
+        doc["datasets"] = {
+            split: str((OFFLINE_CONFIG.parent / rel).resolve())
+            for split, rel in doc["datasets"].items()
+        }
+        doc.update(changes)
+        return doc
+
+    @pytest.mark.parametrize("mode", ["synthetic", "dataset"])
+    def test_scenario_read_once(self, tmp_path, mode):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(SCENARIO.read_bytes())
+        if mode == "synthetic":
+            doc = json.loads(SYNTH_CONFIG.read_text())
+            doc["synthetic"]["scenario"] = scenario.name
+        else:
+            doc = self._offline_doc(lm={"backend": "synthetic", "scenario": scenario.name})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_task_config(path)
+        scenario.unlink()
+        runtime = build_runtime(cfg)
+        assert runtime.scorer is not None
+
+    def test_lm_scenario_m_checked_at_build(self, tmp_path):
+        doc = self._offline_doc()
+        doc["lm"]["scenario"] = str(SCENARIO)
+        doc["train"]["m"] = 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_task_config(path)  # ordering without scoring still accepts it
+        assert build_runtime(cfg, need_scoring=False).scorer is None
+        with pytest.raises(ConfigError, match=r"lm scenario m=4 != train\.m=3"):
+            build_runtime(cfg)
+        result = run("eval", "--config", path)
+        assert result.exit_code == 2
+        assert "lm scenario m=4 != train.m=3" in result.output
+
     def test_train_m_must_match_scenario(self, tmp_path):
         doc = {"synthetic": {"scenario": str(SCENARIO)}, "train": {"m": 3}}
         bad = tmp_path / "bad.json"

@@ -132,6 +132,13 @@ class TestBalancedSelection:
         with pytest.raises(SelectionError, match="'pos'"):
             select_examples(QUERY, ic, 4)
 
+    def test_many_labels_empty_label_named(self):
+        # G=3 >= m=2: label "b" is among the first m labels but has no examples
+        pool = [example(0, 1.0, 0.5, "a"), example(1, 1.0, 0.0, "c")]
+        ic = make_set(pool, label_space=("a", "b", "c"))
+        with pytest.raises(SelectionError, match="label 'b'"):
+            select_examples(QUERY, ic, 2)
+
     def test_label_outside_space_rejected(self):
         with pytest.raises(InvalidInputError):
             make_set([example(0, 1.0, 0.0, "weird")], label_space=("neg", "pos"))

@@ -148,3 +148,16 @@ class TestRemoteLM:
         monkeypatch.delenv("POEM_LM_URL")
         with pytest.raises(InvalidInputError):
             RemoteLM()
+
+
+@pytest.mark.parametrize(
+    "client, variable, what",
+    [(RemoteEncoder, "POEM_EMBED_URL", "embedding"), (RemoteLM, "POEM_LM_URL", "LM")],
+)
+def test_missing_endpoint_message(monkeypatch, client, variable, what):
+    monkeypatch.delenv(variable, raising=False)
+    with pytest.raises(InvalidInputError) as err:
+        client()
+    assert str(err.value) == (
+        f"no {what} endpoint configured: pass url= or set {variable}"
+    )
