@@ -1,7 +1,7 @@
 W ?= scenario_sim
 SEED ?= 1
 
-.PHONY: test bench-smoke bench loc
+.PHONY: test bench-smoke bench loc fingerprint
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -14,3 +14,6 @@ bench:
 
 loc:
 	wc -l src/poem/*.py | tail -1
+
+fingerprint:
+	@python3 tools/cli_fingerprint.py

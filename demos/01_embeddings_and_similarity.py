@@ -5,7 +5,7 @@ Run:  python3 demos/01_embeddings_and_similarity.py
 
 import numpy as np
 
-from poem import CachingEncoder, Embedding, HashEncoder, cosine_similarity, encode_state
+from poem import CachingEncoder, Embedding, HashEncoder, cosine_similarity
 
 # The hash encoder is the offline stand-in for a sentence-embedding service:
 # token n-grams hash to pseudo-random directions, summed and normalized.
@@ -29,7 +29,7 @@ for i, a in enumerate(texts):
 
 # Near-duplicates score far above unrelated sentences, which is all the
 # retrieval machinery needs. Determinism is bit-level:
-again = encode_state(texts[0], encoder)
+again = encoder.encode([texts[0]])[0]
 print("\nbit-identical on repeat:", bool(np.array_equal(again.values, vectors[0].values)))
 
 # Hand-built embeddings work the same way; cosine is direction-only.

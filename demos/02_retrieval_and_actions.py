@@ -8,7 +8,6 @@ from poem import (
     HashEncoder,
     action_key,
     build_in_context_set,
-    encode_state,
     enumerate_actions,
     identity_action,
     reorder,
@@ -33,7 +32,7 @@ examples = [
 ic = build_in_context_set(examples, encoder, ["sentence"], label_space=("negative", "positive"))
 
 query = "a generous, joyful film"
-state = encode_state(query, encoder)
+state = encoder.encode([query])[0]
 
 # Balanced retrieval: with 2 labels and m=4, each label contributes its two
 # closest examples, and the result is sorted by descending similarity. That

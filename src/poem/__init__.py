@@ -24,7 +24,6 @@ from .encoder import (
     HashEncoder,
     RemoteEncoder,
     cosine_similarity,
-    encode_state,
 )
 from .engine import (
     BASELINES,
@@ -130,7 +129,6 @@ __all__ = [
     "build_prompt",
     "classification_reward",
     "cosine_similarity",
-    "encode_state",
     "enumerate_actions",
     "epsilon_at",
     "epsilon_greedy",

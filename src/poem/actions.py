@@ -10,13 +10,16 @@ descending-similarity heuristic, and (m, ..., 2, 1) is ascending.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 from .errors import InvalidInputError
 
-# m! explodes quickly; 8! = 40320 is the most we will enumerate by default.
+# m! explodes quickly; 8! = 40320 is the most actions we enumerate or rank.
 DEFAULT_MAX_M = 8
+
+_ACTION_KEY = re.compile(r"[1-9][0-9]*(?:-[1-9][0-9]*)*")
 
 T = TypeVar("T")
 
@@ -52,14 +55,19 @@ def reversal_action(m: int) -> Action:
     return Action(tuple(range(m, 0, -1)))
 
 
-def enumerate_actions(m: int, *, ceiling: int = DEFAULT_MAX_M) -> list[Action]:
-    """All m! actions in lexicographic order of their rank vectors."""
+def check_enumerable(m: int) -> None:
+    """Raise InvalidInputError unless 1 <= m <= DEFAULT_MAX_M."""
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    if m > ceiling:
+    if m > DEFAULT_MAX_M:
         raise InvalidInputError(
-            f"m={m} exceeds the enumeration ceiling of {ceiling} (m! actions)"
+            f"m={m} exceeds the enumeration ceiling of {DEFAULT_MAX_M} (m! actions)"
         )
+
+
+def enumerate_actions(m: int) -> list[Action]:
+    """All m! actions in lexicographic order of their rank vectors."""
+    check_enumerable(m)
     return [Action(perm) for perm in itertools.permutations(range(1, m + 1))]
 
 
@@ -83,8 +91,6 @@ def action_key(action: Action) -> str:
 
 def parse_action_key(key: str) -> Action:
     """Inverse of action_key; raises InvalidInputError on anything else."""
-    try:
-        ranks = tuple(int(part) for part in key.split("-"))
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed action key {key!r}") from exc
-    return Action(ranks)
+    if not _ACTION_KEY.fullmatch(key):  # also "01-2" and " 1-2", which action_key never makes
+        raise InvalidInputError(f"malformed action key {key!r}")
+    return Action(tuple(map(int, key.split("-"))))

@@ -73,21 +73,9 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
         raise InvalidInputError(f"dimension mismatch: {a.dim} != {b.dim}")
     peak_a = float(np.max(np.abs(a.values)))
     peak_b = float(np.max(np.abs(b.values)))
-    if peak_a == 0.0 or peak_b == 0.0:
-        raise InvalidInputError("cosine similarity is undefined for zero-norm vectors")
     va = a.values / peak_a
     vb = b.values / peak_b
     return float(np.dot(va, vb)) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
-
-
-def encode_state(text: str, backend: EncoderBackend) -> Embedding:
-    """Embed a single text via the backend. Rejects empty/whitespace-only text."""
-    if not text or not text.strip():
-        raise InvalidInputError("cannot encode empty text")
-    out = backend.encode([text])
-    if len(out) != 1:
-        raise ProtocolError(f"backend {backend.id!r} returned {len(out)} embeddings for 1 text")
-    return out[0]
 
 
 def _ngram_features(text: str) -> list[str]:

@@ -32,8 +32,6 @@ EXPLORATION_MODES = ("epsilon_greedy", "exhaustive")
 
 BASELINES = ("poem", "descending", "ascending", "random", "zero_shot")
 
-DEFAULT_IN_FLIGHT = 4
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,7 +43,7 @@ class TrainConfig:
     k: int = 10
     seed: int = 0
     exploration_mode: str = "epsilon_greedy"
-    in_flight: int = DEFAULT_IN_FLIGHT  # concurrent reward queries per minibatch
+    in_flight: int = 4  # concurrent requests of a scorer that waits on I/O
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -104,7 +102,8 @@ class Scorer(Protocol):
 
     reward() is the training signal; score() is the evaluation view of the
     same episode: its reward plus task-metric correctness (None when the
-    metric does not apply), named by metric_name.
+    metric does not apply), named by metric_name. A scorer that never waits on
+    I/O sets the class constant waits_on_io = False and runs on the caller's thread.
     """
 
     metric_name: str
@@ -182,7 +181,7 @@ def _score_jobs(scorer: Scorer, jobs: list[dict], in_flight: int) -> list[float]
             # failures carry where they happened; earlier writes stay intact
             raise _with_context(exc, job["context"]) from exc
 
-    if in_flight <= 1 or len(jobs) <= 1:
+    if in_flight <= 1 or len(jobs) <= 1 or not getattr(scorer, "waits_on_io", True):
         return [one(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         return list(pool.map(one, jobs))
@@ -241,8 +240,8 @@ def train(
     iteration). exhaustive mode instead sweeps every (state, action) pair
     exactly once; that is a harness extension for coverage-guaranteed tests,
     not the published procedure, and the report says so. Action choices for
-    a minibatch are made up front against the batch-start memory; scoring
-    may run concurrently (cfg.in_flight) and writes land in sample order.
+    a minibatch are made up front against the batch-start memory; scorers
+    that wait on I/O run concurrently (cfg.in_flight); writes land in order.
     """
     if not d_train:
         raise InvalidInputError("training set is empty")
@@ -306,7 +305,6 @@ class InferenceResult:
     action: Action
     ordered: tuple[Example, ...]
     prompt: str
-    state_id: str
 
 
 def infer(
@@ -330,9 +328,7 @@ def infer(
     t_s = select_examples(record.embedding, ic, cfg.m)
     ordered = reorder(t_s, action)
     prompt = build_prompt(prompt_spec, ordered, fields)
-    return InferenceResult(
-        action=action, ordered=tuple(ordered), prompt=prompt, state_id=record.state_id
-    )
+    return InferenceResult(action=action, ordered=tuple(ordered), prompt=prompt)
 
 
 @dataclass

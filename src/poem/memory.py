@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import Action, action_key, enumerate_actions, identity_action, parse_action_key
+from .actions import Action, action_key, check_enumerable, identity_action, parse_action_key
 from .encoder import Embedding, cosine_similarity
 from .errors import InvalidInputError, SnapshotError, read_json_object
 
@@ -147,17 +147,16 @@ class EpisodicMemory:
             if exact is not None and key in exact[1]:
                 self._touch_record(exact[0])
                 return exact[1][key]
-            if not self._entries:
-                return None
             neighbors = self._nearest(s_t, k)
             for record, _, _ in neighbors:
                 self._touch_record(record)
-            return _weighted_estimate(neighbors, key)
+            return _estimates(neighbors).get(key)
 
     def best_action(self, s_t: StateRecord, k: int) -> Action:
-        """argmax over all m! actions of the read() estimate.
+        """argmax of the read() estimate over the actions it defines.
 
-        Candidates with undefined estimates are skipped; exact ties go to the
+        Those are the actions the exact state or the k nearest states tried;
+        one pass over the neighbors estimates them all. Exact ties go to the
         lexicographically smallest action. With nothing defined (or an empty
         memory, which additionally warns) the identity action is returned:
         descending similarity is the strongest orderless heuristic.
@@ -173,27 +172,19 @@ class EpisodicMemory:
                 )
                 return identity_action(self.m)
             exact = self._entries.get(s_t.state_id)
-            exact_actions = exact[1] if exact is not None else None
             neighbors = self._nearest(s_t, k)
             if exact is not None:
                 self._touch_record(exact[0])
             for record, _, _ in neighbors:
-                if exact is None or record.state_id != exact[0].state_id:
+                if record.state_id != s_t.state_id:
                     self._touch_record(record)
-            best: Action | None = None
-            best_value = -math.inf
-            for a in enumerate_actions(self.m):
-                key = action_key(a)
-                if exact_actions is not None and key in exact_actions:
-                    value = exact_actions[key]
-                else:
-                    estimate = _weighted_estimate(neighbors, key)
-                    if estimate is None:
-                        continue
-                    value = estimate
-                if best is None or value > best_value:
-                    best, best_value = a, value
-            return best if best is not None else identity_action(self.m)
+            check_enumerable(self.m)  # keys sort like their rank vectors only up to m = 9
+            values = _estimates(neighbors)
+            if exact is not None:
+                values.update(exact[1])
+            if not values:
+                return identity_action(self.m)
+            return parse_action_key(max(sorted(values), key=values.__getitem__))
 
     def _nearest(self, s_t: StateRecord, k: int):
         scored = []
@@ -314,12 +305,15 @@ class EpisodicMemory:
         return mem
 
 
-def _weighted_estimate(
-    neighbors: list[tuple[StateRecord, dict[str, float], float]], key: str
-) -> float | None:
-    defined = [(actions[key], sim) for _, actions, sim in neighbors if key in actions]
-    if not defined:
-        return None
-    clamped = [max(sim, SIMILARITY_FLOOR) for _, sim in defined]
-    total = sum(clamped)
-    return sum(reward * weight / total for (reward, _), weight in zip(defined, clamped))
+def _estimates(neighbors: list[tuple[StateRecord, dict[str, float], float]]) -> dict[str, float]:
+    """Per action key, the neighbors' mean reward for it, weighted by max(cosine, floor)."""
+    tried: dict[str, list[tuple[float, float]]] = {}
+    for _, actions, sim in neighbors:
+        weight = max(sim, SIMILARITY_FLOOR)
+        for key, reward in actions.items():
+            tried.setdefault(key, []).append((reward, weight))
+    estimates = {}
+    for key, pairs in tried.items():
+        total = sum(weight for _, weight in pairs)
+        estimates[key] = sum(reward * weight / total for reward, weight in pairs)
+    return estimates

@@ -107,8 +107,6 @@ class ScoreResponse:
 
 
 class ScoringBackend(Protocol):
-    id: str
-
     def score(self, request: ScoreRequest) -> ScoreResponse: ...
 
 
@@ -198,7 +196,6 @@ class LMOracle:
         self.backend = backend
         self.cfg = cfg
         self.labels = tuple(labels) if labels is not None else None
-        self.id = f"lm:{backend.id}:{cfg.kind}"
         self.metric_name = "exact_match" if cfg.kind == "exact_match" else "accuracy"
 
     def _respond(self, prompt: str, truth: str | None) -> tuple[float, ScoreResponse]:

@@ -73,10 +73,6 @@ class InContextSet:
                         f"example {ex.index} has label {ex.label!r} outside the label space"
                     )
 
-    @property
-    def dim(self) -> int:
-        return self.examples[0].embedding.dim
-
 
 def build_in_context_set(
     examples: Sequence[Example],

@@ -37,7 +37,6 @@ class BiasLandscape:
     position_weights: tuple[float, ...]
     noise_sigma: float = 0.0
     seed: int = 0
-    preference: str = "custom"
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.position_weights)
@@ -45,8 +44,6 @@ class BiasLandscape:
             raise InvalidInputError("position_weights must be non-empty")
         if self.noise_sigma < 0:
             raise InvalidInputError("noise_sigma must be >= 0")
-        if self.preference not in PREFERENCES:
-            raise InvalidInputError(f"preference must be one of {PREFERENCES}")
         object.__setattr__(self, "position_weights", weights)
 
     @property
@@ -56,12 +53,12 @@ class BiasLandscape:
     @classmethod
     def descending(cls, m: int, *, noise_sigma: float = 0.0, seed: int = 0) -> "BiasLandscape":
         """Slot 0 matters most: the identity (closest-first) action is optimal."""
-        return cls(tuple(float(w) for w in range(m, 0, -1)), noise_sigma, seed, "descending")
+        return cls(tuple(float(w) for w in range(m, 0, -1)), noise_sigma, seed)
 
     @classmethod
     def ascending(cls, m: int, *, noise_sigma: float = 0.0, seed: int = 0) -> "BiasLandscape":
         """Slot m-1 matters most: the reversal (farthest-first) action is optimal."""
-        return cls(tuple(float(w) for w in range(1, m + 1)), noise_sigma, seed, "ascending")
+        return cls(tuple(float(w) for w in range(1, m + 1)), noise_sigma, seed)
 
 
 def noiseless_reward(landscape: BiasLandscape, s: Embedding, ordered: Sequence[Example]) -> float:
@@ -279,7 +276,7 @@ def landscape_from_scenario(doc: dict) -> BiasLandscape:
             raise ConfigError(
                 f"landscape.position_weights has {len(weights)} entries, scenario m={m}"
             )
-        return BiasLandscape(weights, sigma, seed, preference)
+        return BiasLandscape(weights, sigma, seed)
     if preference == "descending":
         return BiasLandscape.descending(m, noise_sigma=sigma, seed=seed)
     if preference == "ascending":
@@ -315,10 +312,10 @@ class SyntheticOracle:
     """
 
     metric_name = "optimal_match"
+    waits_on_io = False
 
     def __init__(self, landscape: BiasLandscape):
         self.landscape = landscape
-        self.id = f"synthetic:{landscape.preference}"
         self._best: dict[tuple, Action] = {}
 
     def reward(self, *, prompt: str, state: Embedding, ordered: Sequence[Example],

@@ -30,6 +30,8 @@ def post_json(
     total attempts. Any other non-200 status fails immediately. A 200 with a
     body that is not a JSON object raises ProtocolError.
     """
+    if max_attempts < 1:
+        raise InvalidInputError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(1, max_attempts + 1):
         try:
             resp = requests.post(url, json=payload, timeout=timeout)
@@ -60,7 +62,6 @@ def post_json(
             attempts=attempt,
             status=resp.status_code,
         )
-    raise AssertionError("unreachable")
 
 
 class Endpoint:
@@ -86,6 +87,8 @@ class Endpoint:
             raise InvalidInputError(
                 f"no {self.service} endpoint configured: pass url= or set {self.url_env}"
             )
+        if max_attempts < 1:
+            raise InvalidInputError(f"max_attempts must be >= 1, got {max_attempts}")
         self.url = url
         self.id = f"remote:{url}"
         self._retry = {"max_attempts": max_attempts, "backoff": backoff, "timeout": timeout}

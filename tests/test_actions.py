@@ -54,8 +54,6 @@ class TestEnumerateActions:
     def test_ceiling_error_names_limit(self):
         with pytest.raises(InvalidInputError, match="8"):
             enumerate_actions(9)
-        with pytest.raises(InvalidInputError, match="4"):
-            enumerate_actions(5, ceiling=4)  # ceiling is configurable
         with pytest.raises(InvalidInputError):
             enumerate_actions(0)
 
@@ -101,7 +99,13 @@ class TestActionKey:
         keys = {action_key(a) for a in enumerate_actions(4)}
         assert len(keys) == 24
 
-    @pytest.mark.parametrize("bad", ["", "1-2-x", "0-1", "2-2", "1_2"])
+    # int() reads the last five, but action_key never writes them
+    @pytest.mark.parametrize("bad", ["", "1-2-x", "0-1", "2-2", "1_2",
+                                     "01-2", " 1-2", "1-2 ", "+1-2", "\u0661-2"])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(InvalidInputError):
             parse_action_key(bad)
+
+    def test_parse_multi_digit_ranks(self):
+        ranks = (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+        assert parse_action_key(action_key(Action(ranks))).ranks == ranks

@@ -10,7 +10,6 @@ from poem import (
     Embedding,
     HashEncoder,
     cosine_similarity,
-    encode_state,
 )
 from poem.errors import InvalidInputError
 
@@ -148,20 +147,6 @@ class TestHashEncoder:
     def test_empty_text_rejected(self):
         with pytest.raises(InvalidInputError):
             HashEncoder(16, seed=0).encode([""])
-
-
-class TestEncodeState:
-    def test_empty_text_rejected(self):
-        with pytest.raises(InvalidInputError):
-            encode_state("", HashEncoder(16, seed=0))
-        with pytest.raises(InvalidInputError):
-            encode_state("   ", HashEncoder(16, seed=0))
-
-    def test_returns_backend_embedding(self):
-        enc = HashEncoder(16, seed=0)
-        assert np.array_equal(
-            encode_state("good movie", enc).values, enc.encode(["good movie"])[0].values
-        )
 
 
 class _CountingBackend:

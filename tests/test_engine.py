@@ -1,4 +1,7 @@
+import hashlib
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ from poem import (
     BiasLandscape,
     Embedding,
     EpisodicMemory,
+    LMOracle,
+    RewardConfig,
+    ScoreResponse,
     SyntheticOracle,
     TrainConfig,
     aggregate_reports,
@@ -205,19 +211,56 @@ class TestTrain:
         assert err.value.status == 503  # backend detail survives the context wrap
         assert memory.filled_pairs() >= 8  # completed iterations' writes are intact
 
+    def test_in_process_scorer_scores_on_calling_thread(self):
+        task = make_task()
+        threads = set()
+
+        class RecordingOracle(SyntheticOracle):
+            def reward(self, **kwargs):
+                threads.add(threading.get_ident())
+                return super().reward(**kwargs)
+
+        cfg = TrainConfig(iterations=4, minibatch_size=8, m=4, k=5, seed=9, in_flight=4)
+        train(cfg, task.train, task.ic, task.encoder, RecordingOracle(task.landscape),
+              fresh_memory(task), SYNTHETIC_PROMPT)
+        assert threads == {threading.get_ident()}
+
     def test_concurrent_scoring_matches_serial(self):
-        results = []
+        # a scorer that waits on its backend still overlaps requests, and the
+        # overlap changes nothing in the report
+        results, overlap = [], []
         for in_flight in (1, 4):
             task = make_task()
-            cfg = TrainConfig(iterations=12, minibatch_size=8, m=4, k=5, seed=9,
+            backend = _SlowLM()
+            scorer = LMOracle(backend, RewardConfig("classification"), labels=("g0", "g1"))
+            cfg = TrainConfig(iterations=4, minibatch_size=8, m=4, k=5, seed=9,
                               in_flight=in_flight)
-            memory = fresh_memory(task)
-            memory, report = train(
-                cfg, task.train, task.ic, task.encoder,
-                SyntheticOracle(task.landscape), memory, SYNTHETIC_PROMPT,
-            )
+            _, report = train(cfg, task.train, task.ic, task.encoder, scorer,
+                              fresh_memory(task), SYNTHETIC_PROMPT)
             results.append(report.to_json())
+            overlap.append(backend.max_active)
+        assert overlap[0] == 1 and overlap[1] > 1
         assert results[0] == results[1]
+
+
+class _SlowLM:
+    """In-process scoring backend: waits a few ms, log-probs hashed from the prompt."""
+
+    def __init__(self):
+        self.active = self.max_active = 0
+        self._lock = threading.Lock()
+
+    def score(self, request):
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        time.sleep(0.005)
+        with self._lock:
+            self.active -= 1
+        digest = hashlib.sha256(request.prompt.encode("utf-8")).digest()
+        return ScoreResponse(per_label_logprob={
+            label: -digest[i] / 64.0 for i, label in enumerate(request.labels)
+        })
 
 
 class TestInfer:

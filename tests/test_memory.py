@@ -1,14 +1,26 @@
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poem import Action, Embedding, EpisodicMemory, StateRecord, enumerate_actions, identity_action
+from poem import (
+    Action,
+    Embedding,
+    EpisodicMemory,
+    StateRecord,
+    action_key,
+    enumerate_actions,
+    identity_action,
+    parse_action_key,
+)
 from poem.errors import InvalidInputError, SnapshotError
-from poem.memory import state_id_for
+from poem.memory import SIMILARITY_FLOOR, state_id_for
 
 
 def emb(*values):
@@ -355,6 +367,22 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match=r"states\[0\].actions"):
             EpisodicMemory.restore(path)
 
+    def test_non_canonical_action_key_rejected(self, tmp_path):
+        # "01-2" parses to the action (1, 2) but is not its key; kept, it
+        # would compete with "1-2" as a separate candidate in best_action
+        path = tmp_path / "mem.json"
+        doc = {
+            "version": 1,
+            "dim": 2,
+            "m": 2,
+            "capacity": 4,
+            "states": [{"state_id": "x", "text": "t", "embedding": [1.0, 0.0], "touch": 1,
+                        "actions": {"1-2": 0.1, "01-2": 0.5}}],
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match=r"states\[0\].actions: bad action key '01-2'"):
+            EpisodicMemory.restore(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "mem.json"
         path.write_text("{not json")
@@ -364,3 +392,149 @@ class TestSnapshot:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError):
             EpisodicMemory.restore(tmp_path / "nope.json")
+
+
+# -- the read path against a scalar reference ----------------------------------
+#
+# _ref_read and _ref_best_action restate the per-action read path: every one
+# of the m! actions is estimated by its own pass over the k nearest states.
+# They share only _nearest and _touch_record with the memory, so the
+# estimates, the argmax, the tie rule and the touches are all checked.
+
+
+def _ref_estimate(neighbors, key):
+    defined = [(actions[key], sim) for _, actions, sim in neighbors if key in actions]
+    if not defined:
+        return None
+    clamped = [max(sim, SIMILARITY_FLOOR) for _, sim in defined]
+    total = sum(clamped)
+    return sum(reward * weight / total for (reward, _), weight in zip(defined, clamped))
+
+
+def _ref_read(mem, s_t, a, k):
+    key = action_key(a)
+    exact = mem._entries.get(s_t.state_id)
+    if exact is not None and key in exact[1]:
+        mem._touch_record(exact[0])
+        return exact[1][key]
+    if not mem._entries:
+        return None
+    neighbors = mem._nearest(s_t, k)
+    for rec, _, _ in neighbors:
+        mem._touch_record(rec)
+    return _ref_estimate(neighbors, key)
+
+
+def _ref_best_action(mem, s_t, k):
+    if not mem._entries:
+        return identity_action(mem.m)
+    exact = mem._entries.get(s_t.state_id)
+    neighbors = mem._nearest(s_t, k)
+    if exact is not None:
+        mem._touch_record(exact[0])
+    for rec, _, _ in neighbors:
+        if exact is None or rec.state_id != exact[0].state_id:
+            mem._touch_record(rec)
+    best, best_value = None, -math.inf
+    for a in enumerate_actions(mem.m):
+        key = action_key(a)
+        if exact is not None and key in exact[1]:
+            value = exact[1][key]
+        else:
+            value = _ref_estimate(neighbors, key)
+            if value is None:
+                continue
+        if best is None or value > best_value:
+            best, best_value = a, value
+    return best if best is not None else identity_action(mem.m)
+
+
+# few distinct directions, so exact duplicates, equal cosines at the k
+# boundary, antipodes and negative cosines are all common
+_VECTORS = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+            (1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (0.0, -1.0, 1.0), (0.5, -0.5, 0.5)]
+_REWARDS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                     st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _memory_and_queries(draw):
+    m = draw(st.integers(1, 3))
+    keys = [action_key(a) for a in enumerate_actions(m)]
+    n = draw(st.integers(0, 7))
+    touches = draw(st.permutations(range(1, n + 1)))
+    states = []
+    for i in range(n):
+        # an empty action table only comes from a snapshot; it defines nothing
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+        states.append({
+            "state_id": state_id_for(f"s{i}"),
+            "text": f"s{i}",
+            "embedding": list(draw(st.sampled_from(_VECTORS))),
+            "actions": {key: draw(_REWARDS) for key in chosen},
+            "touch": touches[i],
+        })
+    doc = {"version": 1, "dim": 3, "m": m, "capacity": max(n, 1), "states": states}
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        stored = draw(st.integers(-1, n - 1))  # -1: a novel state, else an exact hit
+        text = f"s{stored}" if stored >= 0 else "query"
+        vector = states[stored]["embedding"] if stored >= 0 else draw(st.sampled_from(_VECTORS))
+        action = parse_action_key(draw(st.sampled_from(keys)))
+        op = draw(st.sampled_from(["read", "best_action"]))
+        queries.append((op, record(text, *vector), action, draw(st.integers(1, n + 2))))
+    return doc, queries
+
+
+def _recency(mem):
+    return [(rec.state_id, rec.last_touch) for rec, _ in mem.entries()]
+
+
+class TestReadPathAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_memory_and_queries())
+    def test_matches_per_action_reference(self, case):
+        doc, queries = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mem.json"
+            path.write_text(json.dumps(doc))
+            mem, ref = EpisodicMemory.restore(path), EpisodicMemory.restore(path)
+        for op, query, action, k in queries:
+            if op == "read":
+                got, want = mem.read(query, action, k), _ref_read(ref, query, action, k)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got, want = mem.best_action(query, k), _ref_best_action(ref, query, k)
+            assert got == want  # bit-identical floats and the same action
+            assert _recency(mem) == _recency(ref)
+
+    def test_best_action_touches_exact_state_then_neighbors(self):
+        # "twin" duplicates the exact state's vector and has the smaller
+        # state id, so it ranks first among the neighbors; the exact state
+        # is still touched first
+        mem = EpisodicMemory(capacity=8, m=2)
+        for s in (record("far", 0.0, 1.0), record("mid", 1.0, 1.0), record("twin", 1.0, 0.0),
+                  record("exact", 1.0, 0.0), record("near", 1.0, 0.1)):
+            mem.write(s, A12, 0.5)
+        assert state_id_for("twin") < state_id_for("exact")
+        mem.best_action(record("exact", 1.0, 0.0), k=3)  # neighbors: twin, exact, near
+        order = [rec.source_text for rec, _ in mem.entries()]
+        assert order == ["far", "mid", "exact", "twin", "near"]
+
+    def test_read_miss_touches_every_neighbor_in_similarity_order(self):
+        mem = EpisodicMemory(capacity=8, m=2)
+        for s in (record("near", 1.0, 0.1), record("far", 0.0, 1.0), record("mid", 1.0, 1.0),
+                  record("other", -1.0, 0.0)):
+            mem.write(s, A12, 0.5)
+        assert mem.read(record("query", 1.0, 0.0), A21, k=3) is None
+        order = [rec.source_text for rec, _ in mem.entries()]
+        assert order == ["other", "near", "mid", "far"]
+
+    def test_best_action_beyond_enumeration_ceiling_raises(self):
+        mem = EpisodicMemory(capacity=2, m=9)
+        with pytest.warns(RuntimeWarning):  # empty: identity, no enumeration needed
+            assert mem.best_action(record("q", 1.0, 0.0), k=1) == identity_action(9)
+        mem.write(record("s", 1.0, 0.0), identity_action(9), 1.0)
+        with pytest.raises(InvalidInputError, match="ceiling of 8"):
+            mem.best_action(record("q", 1.0, 0.0), k=1)

@@ -196,7 +196,7 @@ class TestBuildInContextSet:
             Example(index=1, fields={"text": "beta"}, label="b"),
         ]
         ic = build_in_context_set(examples, enc, ["text"], label_space=("a", "b"))
-        assert ic.dim == 16
+        assert ic.examples[0].embedding.dim == 16
         assert np.array_equal(ic.examples[0].embedding.values, enc.encode(["alpha"])[0].values)
 
     def test_duplicate_indices_rejected(self):

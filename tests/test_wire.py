@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poem import RemoteEncoder, RemoteLM, ScoreRequest, score_prompt
+from poem import RemoteEncoder, RemoteLM, ScoreRequest, score_prompt, wire
 from poem.errors import BackendError, InvalidInputError, ProtocolError
 
 
@@ -161,3 +161,13 @@ def test_missing_endpoint_message(monkeypatch, client, variable, what):
     assert str(err.value) == (
         f"no {what} endpoint configured: pass url= or set {variable}"
     )
+
+
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_max_attempts_below_one_rejected(fake_server, attempts):
+    srv = fake_server(classify_handler)
+    with pytest.raises(InvalidInputError, match="max_attempts"):
+        RemoteLM(srv.url, max_attempts=attempts)
+    with pytest.raises(InvalidInputError, match="max_attempts"):
+        wire.post_json(srv.url, {}, max_attempts=attempts)
+    assert srv.calls == 0
