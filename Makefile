@@ -1,7 +1,8 @@
 W ?= scenario_sim
 SEED ?= 1
+REF ?= HEAD
 
-.PHONY: test bench-smoke bench loc fingerprint
+.PHONY: test bench-smoke bench loc fingerprint fingerprint-diff
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -17,3 +18,6 @@ loc:
 
 fingerprint:
 	@python3 tools/cli_fingerprint.py
+
+fingerprint-diff:
+	@python3 tools/cli_fingerprint.py --diff $(REF)

@@ -10,21 +10,23 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import click
 
-from .actions import action_key, enumerate_actions
+from .actions import action_key
 from .config import build_runtime, load_task_config, parse_task_config
-from .engine import aggregate_reports, evaluate, infer, train
+from .engine import EXPLORATION_MODES, aggregate_reports, evaluate, infer, train
 from .errors import ConfigError, PoemError
 from .memory import EpisodicMemory
 from .selection import load_examples
 
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+_SEED = click.IntRange(min=0)  # the random generators take no negative seed
 
 
 def _friendly_errors(fn):
@@ -74,7 +76,7 @@ def _echo_train_report(report, as_json: bool):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Task config JSON.")
 @click.option("--out", "out_path", default="memory.json", show_default=True,
               type=click.Path(), help="Where to write the memory snapshot.")
-@click.option("--seed", type=int, default=None, help="Override the config's training seed.")
+@click.option("--seed", type=_SEED, default=None, help="Override the config's training seed.")
 @click.option("--snapshot-every", type=int, default=0, show_default=True,
               help="Also snapshot the memory every N iterations (0 = off).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the run report as JSON.")
@@ -174,7 +176,7 @@ def _eval_once(runtime, cfg, memory, seed):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Task config JSON.")
 @click.option("--memory", "memory_path", type=click.Path(), default=None,
               help="Evaluate this snapshot instead of retraining per seed.")
-@click.option("--seed", type=int, default=None, help="Base seed (default: config train.seed).")
+@click.option("--seed", type=_SEED, default=None, help="Base seed (default: config train.seed).")
 @click.option("--seeds", type=int, default=1, show_default=True,
               help="Number of seeds; each retrains unless --memory is given.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full report as JSON.")
@@ -220,7 +222,7 @@ def cmd_eval(config_path, memory_path, seed, seeds, as_json, as_csv, out_path):
 def cmd_inspect_memory(memory_path, as_json):
     """Summarize a memory snapshot: states, coverage, best action per state."""
     memory = EpisodicMemory.restore(memory_path)
-    total_actions = len(enumerate_actions(memory.m))
+    total_actions = math.factorial(memory.m)
     entries = memory.entries()
     states = []
     for record, actions in entries:
@@ -268,9 +270,9 @@ def cmd_inspect_memory(memory_path, as_json):
 @main.command("simulate")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(),
               help="Scenario JSON describing the synthetic task.")
-@click.option("--seed", type=int, default=None, help="Override the scenario's training seed.")
+@click.option("--seed", type=_SEED, default=None, help="Override the scenario's training seed.")
 @click.option("--iterations", type=int, default=None, help="Override training iterations.")
-@click.option("--exploration", type=click.Choice(["epsilon_greedy", "exhaustive"]),
+@click.option("--exploration", type=click.Choice(EXPLORATION_MODES),
               default=None, help="Override the exploration mode.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Also snapshot the trained memory here.")

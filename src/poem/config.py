@@ -9,6 +9,7 @@ template placeholder or a missing file is rejected before any network call.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,17 +22,7 @@ from .rewards import LMOracle, RemoteLM, RewardConfig
 from .selection import Example, InContextSet, build_in_context_set, load_examples
 from .simenv import SyntheticOracle, landscape_from_scenario, load_scenario, task_from_scenario
 
-_TRAIN_KEYS = {
-    "iterations",
-    "minibatch_size",
-    "epsilon_initial",
-    "epsilon_final",
-    "m",
-    "k",
-    "seed",
-    "exploration_mode",
-    "in_flight",
-}
+_TRAIN_KEYS = {field.name for field in dataclasses.fields(TrainConfig)}
 
 
 @dataclass
@@ -136,17 +127,20 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
         raise ConfigError(f"{path}: 'train' must be an object")
 
     capacity = raw.get("capacity")
-    if capacity is not None and (not isinstance(capacity, int) or capacity < 1):
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
         raise ConfigError(f"{path}: 'capacity' must be a positive integer")
 
     eval_raw = raw.get("eval", {})
     if not isinstance(eval_raw, dict):
         raise ConfigError(f"{path}: 'eval' must be an object")
-    baselines = tuple(eval_raw.get("baselines", BASELINES))
+    baselines = eval_raw.get("baselines", list(BASELINES))
+    if not isinstance(baselines, list):
+        raise ConfigError(f"{path}: eval.baselines must be a list of baseline names")
     for b in baselines:
         if b not in BASELINES:
             raise ConfigError(f"{path}: eval.baselines: unknown baseline {b!r}")
-    common = {"path": path, "name": name, "capacity": capacity, "eval_baselines": baselines}
+    common = {"path": path, "name": name, "capacity": capacity,
+              "eval_baselines": tuple(baselines)}
 
     if "synthetic" in raw:
         if "datasets" in raw:
@@ -227,6 +221,9 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
         dim = encoder_spec.get("dim", 64)
         if not isinstance(dim, int) or dim < 2:
             raise ConfigError(f"{path}: encoder.dim must be an integer >= 2")
+        seed = encoder_spec.get("seed", 0)
+        if type(seed) is not int or not -2**63 <= seed < 2**63:
+            raise ConfigError(f"{path}: encoder.seed must be a 64-bit integer")
 
     lm_spec = raw.get("lm")
     if not isinstance(lm_spec, dict) or lm_spec.get("backend") not in ("remote", "synthetic"):

@@ -14,14 +14,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .actions import Action, action_key, enumerate_actions, identity_action, reorder, reversal_action
+from .actions import (Action, action_key, check_enumerable, enumerate_actions, identity_action,
+                      reorder, reversal_action)
 from .encoder import Embedding, EncoderBackend
 from .errors import InvalidInputError, PoemError
 from .memory import EpisodicMemory, StateRecord
@@ -46,26 +48,26 @@ class TrainConfig:
     in_flight: int = 4  # concurrent requests of a scorer that waits on I/O
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidInputError("iterations must be >= 1")
-        if self.minibatch_size < 1:
-            raise InvalidInputError("minibatch_size must be >= 1")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(field.type, str)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidInputError(f"{field.name} must be {field.type}, got {value!r}")
+        for name, low in (("iterations", 1), ("minibatch_size", 1), ("k", 1), ("seed", 0),
+                          ("in_flight", 1)):
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"{name} must be >= {low}")
+        check_enumerable(self.m)
         if not (0.0 <= self.epsilon_final <= self.epsilon_initial <= 1.0):
             raise InvalidInputError(
                 "need 0 <= epsilon_final <= epsilon_initial <= 1, got "
                 f"{self.epsilon_final} / {self.epsilon_initial}"
             )
-        if self.m < 1:
-            raise InvalidInputError("m must be >= 1")
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
         if self.exploration_mode not in EXPLORATION_MODES:
             raise InvalidInputError(
                 f"exploration_mode must be one of {EXPLORATION_MODES}, "
                 f"got {self.exploration_mode!r}"
             )
-        if self.in_flight < 1:
-            raise InvalidInputError("in_flight must be >= 1")
 
 
 def epsilon_at(t: int, cfg: TrainConfig) -> float:
@@ -132,20 +134,11 @@ class RunReport:
     note: str | None = None
 
     def to_dict(self, *, include_timing: bool = False) -> dict:
-        doc = {
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "exploration_mode": self.exploration_mode,
-            "mean_reward_per_iteration": self.mean_reward_per_iteration,
-            "fill_ratio_per_iteration": self.fill_ratio_per_iteration,
-            "final_fill_ratio": self.final_fill_ratio,
-            "states_stored": self.states_stored,
-            "writes": self.writes,
-        }
-        if self.note:
-            doc["note"] = self.note
-        if include_timing:
-            doc["wall_clock_seconds"] = self.wall_clock_seconds
+        doc = asdict(self)
+        if not self.note:
+            del doc["note"]
+        if not include_timing:
+            del doc["wall_clock_seconds"]
         return doc
 
     def to_json(self, *, include_timing: bool = False) -> str:
@@ -166,17 +159,23 @@ def _with_context(exc: PoemError, context: str) -> PoemError:
     return clone
 
 
-def _score_jobs(scorer: Scorer, jobs: list[dict], in_flight: int) -> list[float]:
-    def one(job: dict) -> float:
+def _job(prompt_spec: PromptSpec, record: StateRecord, selected: Sequence[Example],
+         action: Action | None, query: dict[str, str], truth: str | None, context: str) -> dict:
+    """One episode to score. Its "episode" holds the keywords both scorer calls take:
+    the examples in the action's order (none for zero-shot), the prompt, state and truth."""
+    ordered = [] if action is None else reorder(selected, action)
+    episode = {"prompt": build_prompt(prompt_spec, ordered, query), "state": record.embedding,
+               "ordered": ordered, "truth": truth}
+    return {"record": record, "action": action, "context": context, "episode": episode}
+
+
+def _score_jobs(scorer: Scorer, call: Callable[[dict], object], jobs: list[dict],
+                in_flight: int) -> list:
+    """call(job) for every job, results in job order; up to in_flight at a time
+    when the scorer waits on I/O. A PoemError gains the job's error context."""
+    def one(job: dict):
         try:
-            return float(
-                scorer.reward(
-                    prompt=job["prompt"],
-                    state=job["record"].embedding,
-                    ordered=job["ordered"],
-                    truth=job["truth"],
-                )
-            )
+            return call(job)
         except PoemError as exc:
             # failures carry where they happened; earlier writes stay intact
             raise _with_context(exc, job["context"]) from exc
@@ -261,18 +260,10 @@ def train(
         for i, action, context in episodes:
             if i not in selected:
                 selected[i] = select_examples(records[i].embedding, ic, cfg.m)
-            ordered = reorder(selected[i], action)
-            jobs.append(
-                {
-                    "record": records[i],
-                    "action": action,
-                    "ordered": ordered,
-                    "prompt": build_prompt(prompt_spec, ordered, d_train[i].fields),
-                    "truth": d_train[i].label,
-                    "context": context,
-                }
-            )
-        rewards = _score_jobs(scorer, jobs, cfg.in_flight)
+            jobs.append(_job(prompt_spec, records[i], selected[i], action,
+                             d_train[i].fields, d_train[i].label, context))
+        rewards = _score_jobs(scorer, lambda j: float(scorer.reward(**j["episode"])),
+                              jobs, cfg.in_flight)
         for job, r in zip(jobs, rewards):
             memory.write(job["record"], job["action"], r)
             writes += 1
@@ -422,7 +413,9 @@ def evaluate(
 
     Baselines: poem (memory reading), descending (identity action),
     ascending (reversal), random (seeded uniform action per query), and
-    zero_shot (no demonstrations at all).
+    zero_shot (no demonstrations at all). A baseline's actions are all
+    chosen first; scoring them touches neither the memory nor the rng, and
+    scorers that wait on I/O run concurrently (cfg.in_flight).
     """
     if not d_test:
         raise InvalidInputError("test set is empty")
@@ -435,39 +428,29 @@ def evaluate(
     rng = np.random.default_rng(seed)
     rows = []
     for baseline in baselines:
-        rewards: list[float] = []
-        hits: list[bool] = []
+        jobs = []
         for sample, record, t_s in zip(d_test, records, selected):
             if baseline == "zero_shot":
                 action: Action | None = None
-                ordered: list[Example] = []
-            else:
-                if baseline == "poem":
-                    action = memory.best_action(record, cfg.k)
-                elif baseline == "descending":
-                    action = identity_action(cfg.m)
-                elif baseline == "ascending":
-                    action = reversal_action(cfg.m)
-                else:  # random
-                    action = actions[int(rng.integers(len(actions)))]
-                ordered = reorder(t_s, action)
-            prompt = build_prompt(prompt_spec, ordered, sample.fields)
-            reward, correct = scorer.score(
-                prompt=prompt,
-                state=record.embedding,
-                ordered=ordered,
-                action=action,
-                truth=sample.label,
-            )
-            rewards.append(float(reward))
-            if correct is not None:
-                hits.append(bool(correct))
+            elif baseline == "poem":
+                action = memory.best_action(record, cfg.k)
+            elif baseline == "descending":
+                action = identity_action(cfg.m)
+            elif baseline == "ascending":
+                action = reversal_action(cfg.m)
+            else:  # random
+                action = actions[int(rng.integers(len(actions)))]
+            jobs.append(_job(prompt_spec, record, t_s, action, sample.fields, sample.label,
+                             f"baseline {baseline}, test index {sample.index}"))
+        scores = _score_jobs(scorer, lambda j: scorer.score(action=j["action"], **j["episode"]),
+                             jobs, cfg.in_flight)
+        hits = [bool(correct) for _, correct in scores if correct is not None]
         rows.append(
             EvalRow(
                 baseline=baseline,
-                mean_reward=float(np.mean(rewards)),
+                mean_reward=float(np.mean([float(reward) for reward, _ in scores])),
                 metric=float(np.mean(hits)) if hits else None,
-                n=len(rewards),
+                n=len(scores),
             )
         )
     return EvalReport(metric_name=scorer.metric_name, seed=seed, rows=rows)

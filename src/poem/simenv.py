@@ -245,22 +245,39 @@ def load_scenario(path: str | Path) -> dict:
             f"{path}: unsupported scenario version {doc.get('version')!r} "
             f"(this build reads version {SCENARIO_VERSION})"
         )
-    for key, kind in (("seed", int), ("dim", int), ("labels", int), ("m", int)):
-        if not isinstance(doc.get(key), kind) or isinstance(doc.get(key), bool):
-            raise ConfigError(f"{path}: field {key!r} must be {kind.__name__}")
+    # exact JSON types: a bool is not a number here
+    for key in ("seed", "dim", "labels", "m"):
+        if type(doc.get(key)) is not int:
+            raise ConfigError(f"{path}: field {key!r} must be int")
+        if key != "seed" and doc[key] < 1:
+            raise ConfigError(f"{path}: field {key!r} must be >= 1")
     sizes = doc.get("sizes")
-    if not isinstance(sizes, dict) or set(sizes) < {"train", "ic", "test"}:
-        raise ConfigError(f"{path}: 'sizes' must map train/ic/test to integers")
+    if not isinstance(sizes, dict) or not all(
+        type(sizes.get(split)) is int and sizes[split] >= 1 for split in ("train", "ic", "test")
+    ):
+        raise ConfigError(f"{path}: 'sizes' must map train/ic/test to positive integers")
+    if not isinstance(doc.get("train", {}), dict):
+        raise ConfigError(f"{path}: 'train' must be an object")
     land = doc.get("landscape")
     if not isinstance(land, dict):
         raise ConfigError(f"{path}: 'landscape' must be an object")
+    for where, key in ((doc, "cluster_spread"), (doc, "test_spread"), (land, "noise_sigma")):
+        if type(where.get(key, 0.0)) not in (int, float):
+            raise ConfigError(f"{path}: {key!r} must be a number")
+    if type(land.get("seed", 0)) is not int:
+        raise ConfigError(f"{path}: landscape.seed must be int")
     preference = land.get("preference", "custom")
     if preference not in PREFERENCES:
         raise ConfigError(f"{path}: landscape.preference must be one of {PREFERENCES}")
-    if preference == "custom" and not isinstance(land.get("position_weights"), list):
+    weights = land.get("position_weights")
+    if preference == "custom" and not isinstance(weights, list):
         raise ConfigError(
             f"{path}: a custom landscape needs an explicit 'position_weights' list"
         )
+    if weights is not None and not (
+        isinstance(weights, list) and all(type(w) in (int, float) for w in weights)
+    ):
+        raise ConfigError(f"{path}: landscape.position_weights must be a list of numbers")
     return doc
 
 
@@ -289,7 +306,7 @@ def task_from_scenario(source: str | Path | dict) -> SyntheticTask:
     doc = source if isinstance(source, dict) else load_scenario(source)
     return generate_task(
         seed=int(doc["seed"]),
-        sizes={k: int(v) for k, v in doc["sizes"].items()},
+        sizes=doc["sizes"],
         g_labels=int(doc["labels"]),
         dim=int(doc["dim"]),
         m=int(doc["m"]),

@@ -1,12 +1,18 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from poem.actions import Action
 from poem.cli import main
 from poem.config import build_runtime, load_task_config
+from poem.encoder import Embedding
+from poem.engine import TrainConfig
 from poem.errors import ConfigError
+from poem.memory import EpisodicMemory, StateRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "descending_small.json"
@@ -105,12 +111,76 @@ class TestConfigLoading:
         assert result.exit_code == 2
         assert "lm scenario m=4 != train.m=3" in result.output
 
+    def test_every_train_field_settable(self, tmp_path):
+        values = {"iterations": 3, "minibatch_size": 5, "epsilon_initial": 0.5,
+                  "epsilon_final": 0.25, "m": 3, "k": 2, "seed": 5,
+                  "exploration_mode": "exhaustive", "in_flight": 2}
+        assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        doc = _edited(_offline_config(), {"train": values})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert dataclasses.asdict(load_task_config(path).train) == values
+
     def test_train_m_must_match_scenario(self, tmp_path):
         doc = {"synthetic": {"scenario": str(SCENARIO)}, "train": {"m": 3}}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="m"):
             load_task_config(bad)
+
+
+def _edited(doc, changes):
+    """doc with the value at each dotted key path in changes replaced."""
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    return doc
+
+
+def _offline_config():
+    doc = TestConfigLoading._offline_doc()
+    doc["lm"]["scenario"] = str(SCENARIO)
+    return doc
+
+
+MISTYPED = [
+    ("scenario", {"sizes.train": "x"}),
+    ("scenario", {"cluster_spread": "abc"}),
+    ("scenario", {"landscape.noise_sigma": "abc"}),
+    ("scenario", {"landscape.position_weights": "4321"}),
+    ("scenario", {"train": "abc"}),
+    ("scenario", {"sizes.train": 0}),
+    ("scenario", {"labels": 0}),
+    ("scenario", {"m": 9, "train.m": 9}),
+    ("scenario", {"train.iterations": True}),
+    ("scenario", {"train.seed": -1}),
+    ("config", {"train.k": "3"}),
+    ("config", {"train.epsilon_final": "0.1"}),
+    ("config", {"train.seed": "x"}),
+    ("config", {"encoder.seed": "abc"}),
+    ("config", {"encoder.seed": 2**63}),
+    ("config", {"capacity": True}),
+    ("config", {"eval": {"baselines": 5}}),
+]
+
+
+@pytest.mark.parametrize("kind,changes", MISTYPED,
+                         ids=[kind + ":" + ",".join(f"{key}={json.dumps(value)}" for key, value
+                                                    in changes.items()) for kind, changes in MISTYPED])
+def test_mistyped_value_is_a_validation_error(tmp_path, kind, changes):
+    path = tmp_path / f"{kind}.json"
+    if kind == "scenario":
+        path.write_text(json.dumps(_edited(json.loads(SCENARIO.read_text()), changes)))
+        result = run("simulate", "--scenario", path)
+    else:
+        path.write_text(json.dumps(_edited(_offline_config(), changes)))
+        result = run("train", "--config", path, "--out", tmp_path / "memory.json")
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
 
 
 class TestTrainCommand:
@@ -266,6 +336,15 @@ class TestEvalCommand:
         result = run("eval", "--config", SYNTH_CONFIG, "--seeds", 0)
         assert result.exit_code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        memory = tmp_path / "memory.json"
+        assert run("train", "--config", SYNTH_CONFIG, "--out", memory).exit_code == 0
+        for args in (["eval", "--config", SYNTH_CONFIG, "--memory", memory],
+                     ["train", "--config", SYNTH_CONFIG, "--out", memory],
+                     ["simulate", "--scenario", SCENARIO]):
+            result = run(*args, "--seed", -1)
+            assert result.exit_code == 2, (args, result.output, result.exception)
+
 
 class TestInspectAndSimulate:
     def test_inspect_memory(self, tmp_path):
@@ -277,6 +356,16 @@ class TestInspectAndSimulate:
         assert doc["m"] == 4
         assert doc["states"] == 8
         assert 0.0 <= doc["per_state_fill"] <= 1.0
+
+    def test_inspect_large_m_snapshot(self, tmp_path):
+        memory = EpisodicMemory(capacity=2, m=9)
+        memory.write(StateRecord.from_text("q", Embedding([1.0, 0.0])),
+                     Action(tuple(range(1, 10))), 0.5)
+        path = tmp_path / "m9.json"
+        memory.snapshot(path)
+        result = run("inspect-memory", "--memory", path, "--json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["per_state_fill"] == 1 / math.factorial(9)
 
     def test_inspect_rejects_bad_snapshot(self, tmp_path):
         bad = tmp_path / "bad.json"

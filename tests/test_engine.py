@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import threading
@@ -28,7 +29,7 @@ from poem import (
     train,
 )
 from poem.config import SYNTHETIC_PROMPT
-from poem.errors import InvalidInputError
+from poem.errors import BackendError, InvalidInputError
 
 SIZES = {"train": 8, "ic": 12, "test": 8}
 
@@ -349,6 +350,56 @@ class TestEvaluate:
         b = evaluate(memory, task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT,
                      _scorer(task), baselines=("random",), seed=99)
         assert a.to_json() == b.to_json()
+
+    def test_concurrent_scoring_matches_serial(self):
+        # evaluate honours in_flight like train: requests overlap, the report does not change
+        task = make_task()
+        cfg = TrainConfig(iterations=4, minibatch_size=8, m=4, k=5, seed=9)
+        memory, _ = train(cfg, task.train, task.ic, task.encoder,
+                          SyntheticOracle(task.landscape), fresh_memory(task), SYNTHETIC_PROMPT)
+        results, overlap = [], []
+        for in_flight in (1, 4):
+            backend = _SlowLM()
+            scorer = LMOracle(backend, RewardConfig("classification"), labels=("g0", "g1"))
+            report = evaluate(memory, task.test, task.ic, task.encoder,
+                              dataclasses.replace(cfg, in_flight=in_flight), SYNTHETIC_PROMPT,
+                              scorer, seed=3)
+            results.append(report.to_json())
+            overlap.append(backend.max_active)
+        assert overlap[0] == 1 and overlap[1] > 1
+        assert results[0] == results[1]
+
+    def test_backend_failure_names_baseline_and_test_index(self):
+        class FailingLM:
+            calls = 0
+
+            def score(self, request):
+                FailingLM.calls += 1
+                if FailingLM.calls == 3:
+                    raise BackendError("scoring service went away", status=503)
+                return ScoreResponse(per_label_logprob={"g0": -1.0, "g1": -2.0})
+
+        task = make_task()
+        cfg = TrainConfig(m=4, k=5, in_flight=1)
+        scorer = LMOracle(FailingLM(), RewardConfig("classification"), labels=("g0", "g1"))
+        with pytest.raises(BackendError, match=r"^baseline descending, test index 2: ") as err:
+            evaluate(fresh_memory(task), task.test, task.ic, task.encoder, cfg,
+                     SYNTHETIC_PROMPT, scorer, baselines=("descending",))
+        assert err.value.status == 503
+
+    def test_in_process_scorer_scores_on_calling_thread(self):
+        task = make_task()
+        threads = set()
+
+        class RecordingOracle(SyntheticOracle):
+            def score(self, **kwargs):
+                threads.add(threading.get_ident())
+                return super().score(**kwargs)
+
+        cfg = TrainConfig(m=4, k=5, in_flight=4)
+        evaluate(fresh_memory(task), task.test, task.ic, task.encoder, cfg, SYNTHETIC_PROMPT,
+                 RecordingOracle(task.landscape), baselines=("descending", "random"))
+        assert threads == {threading.get_ident()}
 
     def test_unknown_baseline_rejected(self):
         task = make_task()

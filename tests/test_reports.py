@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from poem.engine import AggregateReport, AggregateRow, EvalReport, EvalRow
+from poem.engine import AggregateReport, AggregateRow, EvalReport, EvalRow, RunReport
 
 
 def eval_report():
@@ -108,3 +108,37 @@ class TestAggregateReportTable:
         assert report.row("poem").metric_std == 0.25
         with pytest.raises(KeyError):
             report.row("bogus")
+
+
+class TestRunReport:
+    BODY = (
+        '  "exploration_mode": "epsilon_greedy",\n'
+        '  "fill_ratio_per_iteration": [\n    0.25,\n    0.5\n  ],\n'
+        '  "final_fill_ratio": 0.5,\n'
+        '  "iterations": 2,\n'
+        '  "mean_reward_per_iteration": [\n    1.5,\n    2.0\n  ],\n'
+    )
+    TAIL = '  "seed": 7,\n  "states_stored": 3,\n'
+
+    @staticmethod
+    def report(note=None):
+        return RunReport(seed=7, iterations=2, exploration_mode="epsilon_greedy",
+                         mean_reward_per_iteration=[1.5, 2.0],
+                         fill_ratio_per_iteration=[0.25, 0.5], final_fill_ratio=0.5,
+                         states_stored=3, writes=6, wall_clock_seconds=0.125, note=note)
+
+    @pytest.mark.parametrize("note", [None, ""])
+    def test_json_without_note_or_timing(self, note):
+        assert self.report(note).to_json() == "{\n" + self.BODY + self.TAIL + '  "writes": 6\n}'
+
+    def test_json_with_note(self):
+        assert self.report("sweep").to_json() == (
+            "{\n" + self.BODY + '  "note": "sweep",\n' + self.TAIL + '  "writes": 6\n}'
+        )
+
+    def test_json_with_timing(self):
+        assert self.report("sweep").to_json(include_timing=True) == (
+            "{\n" + self.BODY + '  "note": "sweep",\n' + self.TAIL
+            + '  "wall_clock_seconds": 0.125,\n  "writes": 6\n}'
+        )
+        assert "note" not in self.report().to_dict(include_timing=True)
