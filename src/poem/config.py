@@ -30,7 +30,6 @@ class TaskConfig:
     """A validated configuration document plus its resolved pieces."""
 
     path: Path
-    name: str
     train: TrainConfig
     capacity: int | None
     eval_baselines: tuple[str, ...]
@@ -118,8 +117,7 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
     """Validate a configuration document; its relative paths resolve against path's folder."""
     path = Path(path)
     base = path.parent
-    name = raw.get("name", path.stem)
-    if not isinstance(name, str):
+    if not isinstance(raw.get("name", ""), str):
         raise ConfigError(f"{path}: 'name' must be a string")
 
     train_raw = raw.get("train", {})
@@ -139,8 +137,7 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
     for b in baselines:
         if b not in BASELINES:
             raise ConfigError(f"{path}: eval.baselines: unknown baseline {b!r}")
-    common = {"path": path, "name": name, "capacity": capacity,
-              "eval_baselines": tuple(baselines)}
+    common = {"path": path, "capacity": capacity, "eval_baselines": tuple(baselines)}
 
     if "synthetic" in raw:
         if "datasets" in raw:
@@ -228,6 +225,9 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
     lm_spec = raw.get("lm")
     if not isinstance(lm_spec, dict) or lm_spec.get("backend") not in ("remote", "synthetic"):
         raise ConfigError(f"{path}: lm.backend must be 'remote' or 'synthetic'")
+    for section, spec in (("encoder", encoder_spec), ("lm", lm_spec)):
+        if not isinstance(spec.get("url"), (str, type(None))):
+            raise ConfigError(f"{path}: {section}.url must be a string")
     scenario = None
     if lm_spec["backend"] == "synthetic":
         if not isinstance(lm_spec.get("scenario"), str):

@@ -57,8 +57,6 @@ class Embedding:
 class EncoderBackend(Protocol):
     """Anything that deterministically turns texts into fixed-dim embeddings."""
 
-    id: str
-
     def encode(self, texts: Sequence[str]) -> list[Embedding]: ...
 
 
@@ -100,7 +98,6 @@ class HashEncoder:
             raise InvalidInputError(f"hash encoder needs dim >= 2, got {dim}")
         self.dim = int(dim)
         self.seed = int(seed)
-        self.id = f"hash:dim={dim},seed={seed}"
         self._directions: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -145,7 +142,6 @@ class CachingEncoder:
 
     def __init__(self, backend: EncoderBackend):
         self.backend = backend
-        self.id = backend.id
         self._cache: dict[str, Embedding] = {}
         self._lock = threading.Lock()
 
@@ -156,7 +152,7 @@ class CachingEncoder:
             fresh = self.backend.encode(missing)
             if len(fresh) != len(missing):
                 raise ProtocolError(
-                    f"backend {self.backend.id!r} returned {len(fresh)} embeddings "
+                    f"backend {type(self.backend).__name__} returned {len(fresh)} embeddings "
                     f"for {len(missing)} texts"
                 )
             with self._lock:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .actions import (Action, action_key, check_enumerable, enumerate_actions, identity_action,
                       reorder, reversal_action)
 from .encoder import Embedding, EncoderBackend
-from .errors import InvalidInputError, PoemError
+from .errors import InvalidInputError, PoemError, check_field_types
 from .memory import EpisodicMemory, StateRecord
 from .prompts import PromptSpec, build_prompt
 from .selection import Example, InContextSet, retrieval_text, select_examples
@@ -48,11 +47,7 @@ class TrainConfig:
     in_flight: int = 4  # concurrent requests of a scorer that waits on I/O
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(field.type, str)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InvalidInputError(f"{field.name} must be {field.type}, got {value!r}")
+        check_field_types(self)
         for name, low in (("iterations", 1), ("minibatch_size", 1), ("k", 1), ("seed", 0),
                           ("in_flight", 1)):
             if getattr(self, name) < low:
@@ -504,15 +499,14 @@ def aggregate_reports(reports: Sequence[EvalReport]) -> AggregateReport:
         rewards = [rep.row(baseline).mean_reward for rep in reports]
         metrics = [rep.row(baseline).metric for rep in reports]
         have_metric = [m for m in metrics if m is not None]
-        ddof = 1 if len(reports) > 1 else 0
         rows.append(
             AggregateRow(
                 baseline=baseline,
                 mean_reward=float(np.mean(rewards)),
-                reward_std=float(np.std(rewards, ddof=ddof)) if len(rewards) > 1 else 0.0,
+                reward_std=float(np.std(rewards, ddof=1)) if len(rewards) > 1 else 0.0,
                 metric=float(np.mean(have_metric)) if have_metric else None,
                 metric_std=(
-                    float(np.std(have_metric, ddof=ddof)) if len(have_metric) > 1 else
+                    float(np.std(have_metric, ddof=1)) if len(have_metric) > 1 else
                     (0.0 if have_metric else None)
                 ),
                 seeds=len(reports),

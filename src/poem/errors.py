@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and the JSON document reader."""
+"""Exception hierarchy shared across the package, the JSON reader and the field type check."""
 
+import dataclasses
 import json
+import numbers
 from pathlib import Path
 
 
@@ -56,3 +58,13 @@ def read_json_object(path: str | Path, kind: str, error_cls: type[PoemError]) ->
     if not isinstance(doc, dict):
         raise error_cls(f"{path}: {kind} must be a JSON object")
     return doc
+
+
+def check_field_types(obj) -> None:
+    """Raise InvalidInputError for a dataclass field whose value is not of its annotated
+    type, one of the strings "int", "float", "bool" or "str"; a bool is no number."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}.get(field.type, str)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise InvalidInputError(f"{field.name} must be {field.type}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from . import wire
-from .errors import InvalidInputError, ProtocolError
+from .errors import InvalidInputError, ProtocolError, check_field_types
 
 REWARD_KINDS = ("classification", "sequence", "exact_match")
 
@@ -33,10 +33,11 @@ class RewardConfig:
     normalize_exact_match: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in REWARD_KINDS:
             raise InvalidInputError(f"reward kind must be one of {REWARD_KINDS}, got {self.kind!r}")
-        if not (self.lambda1 > 0 and self.lambda2 > 0):
-            raise InvalidInputError("lambda1 and lambda2 must be positive")
+        if not (0 < self.lambda1 < math.inf and 0 < self.lambda2 < math.inf):
+            raise InvalidInputError("lambda1 and lambda2 must be positive and finite")
 
 
 def _check_finite(name: str, values) -> None:

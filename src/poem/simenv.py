@@ -13,6 +13,8 @@ states to test states is meaningful.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, enumerate_actions
+from .actions import DEFAULT_MAX_M, Action, enumerate_actions
 from .encoder import Embedding, cosine_similarity
 from .errors import ConfigError, InvalidInputError, read_json_object
 from .selection import Example, InContextSet
@@ -28,6 +30,10 @@ from .selection import Example, InContextSet
 SCENARIO_VERSION = 1
 
 PREFERENCES = ("descending", "ascending", "custom")
+
+
+def _finite(value) -> bool:  # a bool is not a number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -39,12 +45,18 @@ class BiasLandscape:
     seed: int = 0
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.position_weights)
-        if not weights:
-            raise InvalidInputError("position_weights must be non-empty")
-        if self.noise_sigma < 0:
-            raise InvalidInputError("noise_sigma must be >= 0")
-        object.__setattr__(self, "position_weights", weights)
+        weights = self.position_weights
+        if isinstance(weights, str) or not isinstance(weights, Sequence) or not weights \
+                or not all(map(_finite, weights)):
+            raise InvalidInputError("position_weights must be a non-empty list of finite numbers")
+        if not _finite(self.noise_sigma) or self.noise_sigma < 0:
+            raise InvalidInputError("noise_sigma must be a finite number >= 0")
+        # the noise hash packs the seed as a signed 64-bit integer
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or not -2**63 <= self.seed < 2**63:
+            raise InvalidInputError(f"seed must be a 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "position_weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
     @property
     def m(self) -> int:
@@ -53,12 +65,12 @@ class BiasLandscape:
     @classmethod
     def descending(cls, m: int, *, noise_sigma: float = 0.0, seed: int = 0) -> "BiasLandscape":
         """Slot 0 matters most: the identity (closest-first) action is optimal."""
-        return cls(tuple(float(w) for w in range(m, 0, -1)), noise_sigma, seed)
+        return cls(range(m, 0, -1), noise_sigma, seed)
 
     @classmethod
     def ascending(cls, m: int, *, noise_sigma: float = 0.0, seed: int = 0) -> "BiasLandscape":
         """Slot m-1 matters most: the reversal (farthest-first) action is optimal."""
-        return cls(tuple(float(w) for w in range(1, m + 1)), noise_sigma, seed)
+        return cls(range(1, m + 1), noise_sigma, seed)
 
 
 def noiseless_reward(landscape: BiasLandscape, s: Embedding, ordered: Sequence[Example]) -> float:
@@ -88,10 +100,7 @@ def noise_component(landscape: BiasLandscape, s: Embedding, ordered: Sequence[Ex
 
 def synth_reward(landscape: BiasLandscape, s: Embedding, ordered: Sequence[Example]) -> float:
     """Reward of presenting `ordered` for state s; deterministic even with noise."""
-    base = noiseless_reward(landscape, s, ordered)
-    if landscape.noise_sigma == 0.0:
-        return base
-    return base + noise_component(landscape, s, ordered)
+    return noiseless_reward(landscape, s, ordered) + noise_component(landscape, s, ordered)
 
 
 def brute_force_best(
@@ -123,11 +132,10 @@ def brute_force_best(
 class PlantedEncoder:
     """Returns pre-assigned vectors by exact text; the generated tasks' encoder."""
 
-    def __init__(self, table: dict[str, Embedding], id: str = "planted"):
+    def __init__(self, table: dict[str, Embedding]):
         if not table:
             raise InvalidInputError("planted encoder needs a non-empty table")
         self._table = dict(table)
-        self.id = id
 
     def encode(self, texts: Sequence[str]) -> list[Embedding]:
         out = []
@@ -143,7 +151,6 @@ class PlantedEncoder:
 class SyntheticTask:
     """A fully generated train/ic/test split with planted embeddings."""
 
-    seed: int
     landscape: BiasLandscape
     train: list[Example]
     ic: InContextSet
@@ -224,12 +231,11 @@ def generate_task(
         label_space=labels if g_labels > 1 else None,
     )
     return SyntheticTask(
-        seed=seed,
         landscape=landscape,
         train=train,
         ic=ic,
         test=test,
-        encoder=PlantedEncoder(table, id=f"planted:seed={seed}"),
+        encoder=PlantedEncoder(table),
     )
 
 
@@ -237,7 +243,7 @@ def generate_task(
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read and validate a scenario JSON document."""
+    """Read and validate a scenario JSON document; the landscape is checked by building it."""
     path = Path(path)
     doc = read_json_object(path, "scenario", ConfigError)
     if doc.get("version") != SCENARIO_VERSION:
@@ -245,12 +251,14 @@ def load_scenario(path: str | Path) -> dict:
             f"{path}: unsupported scenario version {doc.get('version')!r} "
             f"(this build reads version {SCENARIO_VERSION})"
         )
-    # exact JSON types: a bool is not a number here
-    for key in ("seed", "dim", "labels", "m"):
+    # exact JSON types: a bool is not a number here; numpy's generator takes no negative seed
+    for key, low in (("seed", 0), ("dim", 1), ("labels", 1), ("m", 1)):
         if type(doc.get(key)) is not int:
             raise ConfigError(f"{path}: field {key!r} must be int")
-        if key != "seed" and doc[key] < 1:
-            raise ConfigError(f"{path}: field {key!r} must be >= 1")
+        if doc[key] < low:
+            raise ConfigError(f"{path}: field {key!r} must be >= {low}")
+    if doc["m"] > DEFAULT_MAX_M:  # no train.m can match it; do not build its landscape
+        raise ConfigError(f"{path}: field 'm' must be <= {DEFAULT_MAX_M}")
     sizes = doc.get("sizes")
     if not isinstance(sizes, dict) or not all(
         type(sizes.get(split)) is int and sizes[split] >= 1 for split in ("train", "ic", "test")
@@ -258,47 +266,37 @@ def load_scenario(path: str | Path) -> dict:
         raise ConfigError(f"{path}: 'sizes' must map train/ic/test to positive integers")
     if not isinstance(doc.get("train", {}), dict):
         raise ConfigError(f"{path}: 'train' must be an object")
-    land = doc.get("landscape")
-    if not isinstance(land, dict):
+    for key in ("cluster_spread", "test_spread"):
+        if not _finite(doc.get(key, 0.0)):
+            raise ConfigError(f"{path}: {key!r} must be a finite number")
+    if not isinstance(doc.get("landscape"), dict):
         raise ConfigError(f"{path}: 'landscape' must be an object")
-    for where, key in ((doc, "cluster_spread"), (doc, "test_spread"), (land, "noise_sigma")):
-        if type(where.get(key, 0.0)) not in (int, float):
-            raise ConfigError(f"{path}: {key!r} must be a number")
-    if type(land.get("seed", 0)) is not int:
-        raise ConfigError(f"{path}: landscape.seed must be int")
-    preference = land.get("preference", "custom")
-    if preference not in PREFERENCES:
-        raise ConfigError(f"{path}: landscape.preference must be one of {PREFERENCES}")
-    weights = land.get("position_weights")
-    if preference == "custom" and not isinstance(weights, list):
-        raise ConfigError(
-            f"{path}: a custom landscape needs an explicit 'position_weights' list"
-        )
-    if weights is not None and not (
-        isinstance(weights, list) and all(type(w) in (int, float) for w in weights)
-    ):
-        raise ConfigError(f"{path}: landscape.position_weights must be a list of numbers")
+    try:
+        landscape_from_scenario(doc)
+    except InvalidInputError as exc:
+        raise ConfigError(f"{path}: landscape.{exc}") from exc
     return doc
 
 
 def landscape_from_scenario(doc: dict) -> BiasLandscape:
+    """The landscape a scenario describes; InvalidInputError names the field at fault."""
     land = doc["landscape"]
-    m = int(doc["m"])
-    sigma = float(land.get("noise_sigma", 0.0))
-    seed = int(land.get("seed", doc["seed"]))
+    m = doc["m"]
+    sigma = land.get("noise_sigma", 0.0)
+    seed = land.get("seed", doc["seed"])
     preference = land.get("preference", "custom")
+    if preference not in PREFERENCES:
+        raise InvalidInputError(f"preference must be one of {PREFERENCES}, got {preference!r}")
     if "position_weights" in land:
-        weights = tuple(float(w) for w in land["position_weights"])
-        if len(weights) != m:
-            raise ConfigError(
-                f"landscape.position_weights has {len(weights)} entries, scenario m={m}"
-            )
+        weights = land["position_weights"]
+        if not isinstance(weights, list) or len(weights) != m:
+            raise InvalidInputError(f"position_weights must be a list of m={m} numbers")
         return BiasLandscape(weights, sigma, seed)
     if preference == "descending":
         return BiasLandscape.descending(m, noise_sigma=sigma, seed=seed)
     if preference == "ascending":
         return BiasLandscape.ascending(m, noise_sigma=sigma, seed=seed)
-    raise ConfigError("custom landscape requires 'position_weights'")
+    raise InvalidInputError("position_weights: a custom landscape needs an explicit list")
 
 
 def task_from_scenario(source: str | Path | dict) -> SyntheticTask:

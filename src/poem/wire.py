@@ -27,8 +27,9 @@ def post_json(
 
     Connection failures and 5xx statuses count as transient and are retried
     with exponential backoff (backoff, 2*backoff, ...) up to `max_attempts`
-    total attempts. Any other non-200 status fails immediately. A 200 with a
-    body that is not a JSON object raises ProtocolError.
+    total attempts. Any other non-200 status, and a request that cannot be
+    sent as given (a malformed URL or header), fails on its first attempt. A
+    200 with a body that is not a JSON object raises ProtocolError.
     """
     if max_attempts < 1:
         raise InvalidInputError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -36,7 +37,8 @@ def post_json(
         try:
             resp = requests.post(url, json=payload, timeout=timeout)
         except requests.RequestException as exc:
-            if attempt == max_attempts:
+            # requests' URL and header errors are also ValueErrors: retrying cannot mend them
+            if attempt == max_attempts or isinstance(exc, ValueError):
                 raise BackendError(
                     f"POST {url} failed after {attempt} attempts: {exc}",
                     attempts=attempt,
@@ -90,7 +92,6 @@ class Endpoint:
         if max_attempts < 1:
             raise InvalidInputError(f"max_attempts must be >= 1, got {max_attempts}")
         self.url = url
-        self.id = f"remote:{url}"
         self._retry = {"max_attempts": max_attempts, "backoff": backoff, "timeout": timeout}
 
     def post(self, payload: dict[str, Any]) -> dict[str, Any]:

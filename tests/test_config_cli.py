@@ -157,6 +157,16 @@ MISTYPED = [
     ("scenario", {"m": 9, "train.m": 9}),
     ("scenario", {"train.iterations": True}),
     ("scenario", {"train.seed": -1}),
+    ("scenario", {"landscape.noise_sigma": -1}),
+    ("scenario", {"landscape.noise_sigma": math.nan}),
+    ("scenario", {"cluster_spread": math.inf}),
+    ("scenario", {"landscape.position_weights": [1, math.nan, 1, 1]}),
+    ("scenario", {"landscape.seed": True}),
+    ("scenario", {"landscape.position_weights": [1, 2, 3]}),
+    ("scenario", {"landscape.position_weights": None}),
+    ("scenario", {"landscape.seed": 2**63}),
+    ("scenario", {"seed": -1}),
+    ("scenario", {"m": 10**9}),
     ("config", {"train.k": "3"}),
     ("config", {"train.epsilon_final": "0.1"}),
     ("config", {"train.seed": "x"}),
@@ -164,6 +174,12 @@ MISTYPED = [
     ("config", {"encoder.seed": 2**63}),
     ("config", {"capacity": True}),
     ("config", {"eval": {"baselines": 5}}),
+    ("config", {"encoder.url": 5}),
+    ("config", {"lm.url": 5}),
+    ("config", {"reward.lambda1": True}),
+    ("config", {"reward.lambda1": "2"}),
+    ("config", {"reward.lambda1": math.inf}),
+    ("config", {"reward.normalize_exact_match": "no"}),
 ]
 
 
@@ -180,6 +196,7 @@ def test_mistyped_value_is_a_validation_error(tmp_path, kind, changes):
         result = run("train", "--config", path, "--out", tmp_path / "memory.json")
     assert result.exit_code == 2, (result.output, result.exception)
     assert result.stderr.startswith("error:")
+    assert str(path) in result.stderr
     assert "Traceback" not in result.output
 
 
@@ -382,6 +399,16 @@ class TestInspectAndSimulate:
         rows = {r["baseline"]: r for r in doc["eval"]["rows"]}
         assert rows["poem"]["mean_reward"] >= rows["ascending"]["mean_reward"]
         assert out.exists()
+
+    def test_custom_weights_match_their_preference(self, tmp_path):
+        bundled = ROOT / "scenarios" / "ascending_small.json"
+        doc = json.loads(bundled.read_text())
+        doc["landscape"] = {"position_weights": [1, 2, 3, 4], "noise_sigma": 0.0, "seed": 11}
+        custom = tmp_path / bundled.name
+        custom.write_text(json.dumps(doc))
+        outputs = [run("simulate", "--scenario", path, "--json") for path in (bundled, custom)]
+        assert [r.exit_code for r in outputs] == [0, 0], [r.output for r in outputs]
+        assert outputs[0].stdout_bytes == outputs[1].stdout_bytes
 
     def test_simulate_exhaustive_override(self):
         result = run(

@@ -152,7 +152,6 @@ class TestHashEncoder:
 class _CountingBackend:
     def __init__(self, inner):
         self.inner = inner
-        self.id = inner.id
         self.calls = 0
         self.texts_seen = 0
 

@@ -217,6 +217,29 @@ class TestScenarioFiles:
             task_from_scenario(path)
 
 
+class TestBiasLandscapeFields:
+    @pytest.mark.parametrize("args, kwargs", [
+        (("4321",), {}),
+        (((True, 1.0),), {}),
+        (((),), {}),
+        (((1.0, math.inf),), {}),
+        (((1.0,),), {"noise_sigma": math.nan}),
+        (((1.0,),), {"noise_sigma": -0.5}),
+        (((1.0,),), {"seed": 1.5}),
+        (((1.0,),), {"seed": 2**63}),
+    ], ids=["string", "bool-weight", "empty", "inf-weight", "nan-sigma", "negative-sigma",
+            "float-seed", "seed-past-64-bits"])
+    def test_rejected(self, args, kwargs):
+        with pytest.raises(InvalidInputError):
+            BiasLandscape(*args, **kwargs)
+
+    def test_stores_floats(self):
+        landscape = BiasLandscape([3, 1], noise_sigma=1, seed=-2)
+        assert landscape.position_weights == (3.0, 1.0)
+        assert [type(w) for w in landscape.position_weights] == [float, float]
+        assert type(landscape.noise_sigma) is float
+
+
 class TestPlantedEncoder:
     def test_empty_table_rejected(self):
         with pytest.raises(InvalidInputError):

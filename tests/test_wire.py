@@ -1,5 +1,7 @@
 """Wire-contract tests against real local HTTP servers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,15 @@ def test_missing_endpoint_message(monkeypatch, client, variable, what):
     assert str(err.value) == (
         f"no {what} endpoint configured: pass url= or set {variable}"
     )
+
+
+@pytest.mark.parametrize("url", ["not a url", "5", "ftp://x/", "http://[bad"])
+def test_malformed_url_is_not_retried(url):
+    started = time.perf_counter()
+    with pytest.raises(BackendError) as err:
+        RemoteLM(url, backoff=5).score(ScoreRequest(prompt="p", mode="generate", truth="x"))
+    assert err.value.attempts == 1
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("attempts", [0, -1])

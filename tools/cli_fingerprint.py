@@ -51,10 +51,12 @@ def runs(root: Path):
                    ["eval", "--config", config, "--seeds", "2", *extra], None)
         yield (f"eval-memory-{name}", ["eval", "--config", config, "--memory", memory], None)
         yield (f"inspect-memory-{name}", ["inspect-memory", "--memory", memory, "--json"], None)
-    yield ("order-sentiment_offline",
-           ["order", "--config", str(root / "demos" / "configs" / "sentiment_offline.json"),
-            "--memory", "mem-sentiment_offline.json", "--json",
-            "--file", str(root / "demos" / "data" / "sentiment_test.jsonl")], None)
+        yield (f"inspect-memory-text-{name}", ["inspect-memory", "--memory", memory], None)
+    order = ["order", "--config", str(root / "demos" / "configs" / "sentiment_offline.json"),
+             "--memory", "mem-sentiment_offline.json",
+             "--file", str(root / "demos" / "data" / "sentiment_test.jsonl")]
+    yield ("order-sentiment_offline", [*order, "--json"], None)
+    yield ("order-text-sentiment_offline", order, None)
 
 
 def fingerprints(root: Path):
