@@ -9,6 +9,7 @@ descending-similarity heuristic, and (m, ..., 2, 1) is ascending.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -94,3 +95,9 @@ def parse_action_key(key: str) -> Action:
     if not _ACTION_KEY.fullmatch(key):  # also "01-2" and " 1-2", which action_key never makes
         raise InvalidInputError(f"malformed action key {key!r}")
     return Action(tuple(map(int, key.split("-"))))
+
+
+@functools.cache
+def action_keys(m: int) -> frozenset[str]:
+    """The keys of all m! actions, built once per m."""
+    return frozenset(map(action_key, enumerate_actions(m)))

@@ -55,6 +55,11 @@ def read_json_object(path: str | Path, kind: str, error_cls: type[PoemError]) ->
         raise error_cls(f"{path}: no such {kind} file") from None
     except json.JSONDecodeError as exc:
         raise error_cls(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise error_cls(f"{path}: cannot read {kind} file: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        why = "is not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "nests too deeply"
+        raise error_cls(f"{path}: {kind} file {why}") from None
     if not isinstance(doc, dict):
         raise error_cls(f"{path}: {kind} must be a JSON object")
     return doc

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -20,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import Action, action_key, check_enumerable, identity_action, parse_action_key
-from .encoder import Embedding, cosine_similarity
+from .actions import DEFAULT_MAX_M, Action, action_key, action_keys, check_enumerable
+from .actions import identity_action, parse_action_key
+from .encoder import Embedding, scaled_rows, similarities
 from .errors import InvalidInputError, SnapshotError, read_json_object
 
 SNAPSHOT_VERSION = 1
@@ -53,9 +55,12 @@ class StateRecord:
 class EpisodicMemory:
     """Bounded (state, action) -> best-reward table with kNN reading.
 
+    Row i of a matrix beside the table holds state _ids[i]'s vector as scaled_rows
+    scales it, so a kNN read is one einsum; a new state takes an evicted state's row.
+
     Thread model: one lock serializes mutations; reads also take it briefly
     because consulting a state updates its recency. snapshot() holds the
-    lock for its duration, so it always sees a consistent table.
+    lock while it copies the table, so it always sees a consistent one.
     """
 
     def __init__(self, capacity: int, m: int):
@@ -66,6 +71,9 @@ class EpisodicMemory:
         self.capacity = int(capacity)
         self.m = int(m)
         self._entries: dict[str, tuple[StateRecord, dict[str, float]]] = {}
+        self._ids: list[str] = []
+        self._rows = np.empty((0, 0))
+        self._norms = np.empty(0)
         self._touch = 0
         self._lock = threading.RLock()
 
@@ -76,9 +84,7 @@ class EpisodicMemory:
     @property
     def dim(self) -> int | None:
         with self._lock:
-            for record, _ in self._entries.values():
-                return record.embedding.dim
-        return None
+            return self._rows.shape[1] if self._ids else None
 
     def filled_pairs(self) -> int:
         """Total number of (state, action) rewards currently stored."""
@@ -107,8 +113,10 @@ class EpisodicMemory:
                     raise InvalidInputError(
                         f"embedding dim {s.embedding.dim} != memory dim {self.dim}"
                     )
-                if len(self._entries) >= self.capacity:
-                    self._evict_lru()
+                full = len(self._entries) >= self.capacity
+                row = self._evict_lru() if full else self._new_row(s.embedding.dim)
+                rows, norms = scaled_rows(s.embedding.values[None, :])
+                self._ids[row], self._rows[row], self._norms[row] = s.state_id, rows[0], norms[0]
                 record = StateRecord(s.state_id, s.embedding, s.source_text)
                 entry = (record, {})
                 self._entries[s.state_id] = entry
@@ -118,9 +126,21 @@ class EpisodicMemory:
             actions[key] = r if old is None else max(old, r)
             self._touch_record(record)
 
-    def _evict_lru(self) -> None:
+    def _new_row(self, dim: int) -> int:
+        """Index of the next unused row; a full matrix grows geometrically up to capacity."""
+        n = len(self._ids)
+        if n == len(self._norms):
+            size = min(self.capacity, max(8, 2 * n))
+            self._rows = np.concatenate([self._rows.reshape(n, dim), np.empty((size - n, dim))])
+            self._norms = np.concatenate([self._norms, np.empty(size - n)])
+        self._ids.append("")
+        return n
+
+    def _evict_lru(self) -> int:
+        """Drop the least recently used state; returns the matrix row it frees."""
         victim = min(self._entries.values(), key=lambda e: e[0].last_touch)
         del self._entries[victim[0].state_id]
+        return self._ids.index(victim[0].state_id)
 
     def _touch_record(self, record: StateRecord) -> None:
         self._touch += 1
@@ -187,32 +207,34 @@ class EpisodicMemory:
             return parse_action_key(max(sorted(values), key=values.__getitem__))
 
     def _nearest(self, s_t: StateRecord, k: int):
-        scored = []
-        for record, actions in self._entries.values():
-            sim = cosine_similarity(s_t.embedding, record.embedding)
-            scored.append((record, actions, sim))
-        scored.sort(key=lambda item: (-item[2], item[0].state_id))
-        return scored[: min(k, len(scored))]
+        """The k stored states most similar to s_t as (record, actions, cosine), ties by id."""
+        n = len(self._ids)
+        if n == 0:
+            return []
+        sims = similarities(self._rows[:n], self._norms[:n], s_t.embedding)
+        rows = range(n)
+        if k < n:  # the top k, and every row tied with the k-th
+            rows = np.flatnonzero(sims >= sims[np.argpartition(-sims, k - 1)[k - 1]])
+        scored = sorted(((-sims[i], self._ids[i]) for i in rows))[:k]
+        return [(*self._entries[state_id], -float(sim)) for sim, state_id in scored]
 
     # -- persistence -----------------------------------------------------
 
     def snapshot(self, path: str | Path) -> None:
-        """Write a versioned JSON snapshot; floats round-trip bit-exactly."""
+        """Write a versioned JSON snapshot; floats round-trip bit-exactly. It streams into a
+        temporary file that then replaces the target, so a failed write keeps the old one."""
         path = Path(path)
         with self._lock:
-            states = []
-            for record, actions in sorted(
-                self._entries.values(), key=lambda e: e[0].last_touch
-            ):
-                states.append(
-                    {
-                        "state_id": record.state_id,
-                        "text": record.source_text,
-                        "embedding": [float(x) for x in record.embedding.values],
-                        "actions": dict(sorted(actions.items())),
-                        "touch": record.last_touch,
-                    }
-                )
+            states = [
+                {
+                    "state_id": record.state_id,
+                    "text": record.source_text,
+                    "embedding": record.embedding.values.tolist(),
+                    "actions": dict(sorted(actions.items())),
+                    "touch": record.last_touch,
+                }
+                for record, actions in sorted(self._entries.values(), key=lambda e: e[0].last_touch)
+            ]
             doc = {
                 "version": SNAPSHOT_VERSION,
                 "dim": self.dim,
@@ -220,7 +242,17 @@ class EpisodicMemory:
                 "capacity": self.capacity,
                 "states": states,
             }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def restore(cls, path: str | Path) -> "EpisodicMemory":
@@ -248,7 +280,8 @@ class EpisodicMemory:
                 f"{path}: {len(states)} states exceed the declared capacity {capacity}"
             )
         mem = cls(capacity=capacity, m=m)
-        max_touch = 0
+        canonical = action_keys(m) if m <= DEFAULT_MAX_M else frozenset()
+        dim, max_touch = None, 0
         for i, st in enumerate(states):
             where = f"{path}: states[{i}]"
             if not isinstance(st, dict):
@@ -279,19 +312,20 @@ class EpisodicMemory:
                 raise SnapshotError(
                     f"{where}.embedding: dim {embedding.dim} != declared dim {declared_dim}"
                 )
-            if mem._entries and embedding.dim != mem.dim:
+            if dim not in (None, embedding.dim):
                 raise SnapshotError(
-                    f"{where}.embedding: dim {embedding.dim} != dim {mem.dim} of earlier states"
+                    f"{where}.embedding: dim {embedding.dim} != dim {dim} of earlier states"
                 )
+            dim = embedding.dim
             actions: dict[str, float] = {}
             for key, reward in raw_actions.items():
                 try:
-                    parsed = parse_action_key(key)
+                    key_m = m if key in canonical else parse_action_key(key).m
                 except InvalidInputError as exc:
                     raise SnapshotError(f"{where}.actions: bad action key {key!r}: {exc}") from exc
-                if parsed.m != m:
+                if key_m != m:
                     raise SnapshotError(
-                        f"{where}.actions: key {key!r} has m={parsed.m}, snapshot declares m={m}"
+                        f"{where}.actions: key {key!r} has m={key_m}, snapshot declares m={m}"
                     )
                 if not isinstance(reward, (int, float)) or not math.isfinite(reward):
                     raise SnapshotError(
@@ -302,6 +336,10 @@ class EpisodicMemory:
             mem._entries[state_id] = (record, actions)
             max_touch = max(max_touch, touch)
         mem._touch = max_touch
+        if mem._entries:
+            mem._ids = list(mem._entries)
+            vectors = np.array([record.embedding.values for record, _ in mem._entries.values()])
+            mem._rows, mem._norms = scaled_rows(vectors)
         return mem
 
 

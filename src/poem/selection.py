@@ -9,12 +9,15 @@ that canonical order is what defines rank 1 for the action encoding.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .encoder import Embedding, EncoderBackend, cosine_similarity
+import numpy as np
+
+from .encoder import Embedding, EncoderBackend, scaled_rows, similarities
 from .errors import InvalidInputError, SelectionError
 
 
@@ -73,6 +76,12 @@ class InContextSet:
                         f"example {ex.index} has label {ex.label!r} outside the label space"
                     )
 
+    @functools.cached_property
+    def _pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The examples' indices and their vectors as scaled_rows makes them, built at first use."""
+        vectors = np.array([ex.embedding.values for ex in self.examples])
+        return (np.array([ex.index for ex in self.examples]), *scaled_rows(vectors))
+
 
 def build_in_context_set(
     examples: Sequence[Example],
@@ -107,25 +116,25 @@ def select_examples(s: Embedding, ic: InContextSet, m: int) -> list[Example]:
         raise SelectionError(
             f"need {m} examples but the in-context set holds {len(ic.examples)}"
         )
-    sims = {ex.index: cosine_similarity(s, ex.embedding) for ex in ic.examples}
-    ranked = sorted(ic.examples, key=lambda ex: (-sims[ex.index], ex.index))
+    indices, rows, norms = ic._pool
+    order = np.lexsort((indices, -similarities(rows, norms, s)))  # by (-sim, index)
+    ranked = [ic.examples[i] for i in order]
 
     if ic.label_space is None:
-        chosen = ranked[:m]
-    else:
-        quota = max(m // len(ic.label_space), 1)
-        chosen = []
-        for lab in ic.label_space[: m // quota]:
-            pool = [ex for ex in ranked if ex.label == lab][:quota]
-            if len(pool) < quota:
-                raise SelectionError(
-                    f"label {lab!r} has only {len(pool)} examples, need {quota}"
-                )
-            chosen.extend(pool)
-        used = {ex.index for ex in chosen}
-        chosen += [ex for ex in ranked if ex.index not in used][: m - len(chosen)]
-
-    return sorted(chosen, key=lambda ex: (-sims[ex.index], ex.index))
+        return ranked[:m]
+    quota = max(m // len(ic.label_space), 1)
+    chosen = []
+    for lab in ic.label_space[: m // quota]:
+        pool = [ex for ex in ranked if ex.label == lab][:quota]
+        if len(pool) < quota:
+            raise SelectionError(
+                f"label {lab!r} has only {len(pool)} examples, need {quota}"
+            )
+        chosen.extend(pool)
+    used = {ex.index for ex in chosen}
+    chosen += [ex for ex in ranked if ex.index not in used][: m - len(chosen)]
+    position = {ex.index: i for i, ex in enumerate(ranked)}
+    return sorted(chosen, key=lambda ex: position[ex.index])
 
 
 def load_examples(path: str | Path) -> list[Example]:
