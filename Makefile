@@ -1,8 +1,9 @@
 W ?= scenario_sim
 SEED ?= 1
 REF ?= HEAD
+PAIRS ?= 10
 
-.PHONY: test bench-smoke bench loc fingerprint fingerprint-diff
+.PHONY: test bench-smoke bench bench-pairs loc fingerprint fingerprint-diff
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -12,6 +13,9 @@ bench-smoke:
 
 bench:
 	python3 benchmarks/run.py --workload $(W) --seed $(SEED) --seconds 25 --trace 0
+
+bench-pairs:
+	python3 tools/bench_pairs.py --ref $(REF) --workload $(W) --pairs $(PAIRS) $(if $(OUT),--out $(OUT))
 
 loc:
 	wc -l src/poem/*.py | tail -1

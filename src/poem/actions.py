@@ -98,6 +98,7 @@ def parse_action_key(key: str) -> Action:
 
 
 @functools.cache
-def action_keys(m: int) -> frozenset[str]:
-    """The keys of all m! actions, built once per m."""
-    return frozenset(map(action_key, enumerate_actions(m)))
+def action_keys(m: int) -> dict[str, int]:
+    """Each of the m! action keys mapped to its action's lexicographic ordinal, built once
+    per m. The table is shared: read it, never change it."""
+    return {action_key(a): i for i, a in enumerate(enumerate_actions(m))}

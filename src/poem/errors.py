@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, the JSON reader and the field type check."""
+"""Exception hierarchy shared across the package, the file readers and the field type check."""
 
 import dataclasses
 import json
@@ -43,23 +43,32 @@ class ConfigError(PoemError):
     """A task configuration or scenario file failed validation."""
 
 
+def read_text(path: str | Path, kind: str, error_cls: type[PoemError]) -> str:
+    """A file's UTF-8 text; any failure raises `error_cls` naming the path and the kind."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error_cls(f"{path}: no such {kind} file") from None
+    except OSError as exc:
+        raise error_cls(f"{path}: cannot read {kind} file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise error_cls(f"{path}: {kind} file is not UTF-8 text") from None
+
+
 def read_json_object(path: str | Path, kind: str, error_cls: type[PoemError]) -> dict:
     """Read a JSON file whose top level must be an object.
 
     Any failure raises `error_cls` naming the path and the document's kind.
     """
     path = Path(path)
+    text = read_text(path, kind, error_cls)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise error_cls(f"{path}: no such {kind} file") from None
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error_cls(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise error_cls(f"{path}: cannot read {kind} file: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
-        why = "is not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "nests too deeply"
-        raise error_cls(f"{path}: {kind} file {why}") from None
+    except RecursionError:
+        raise error_cls(f"{path}: {kind} file nests too deeply") from None
     if not isinstance(doc, dict):
         raise error_cls(f"{path}: {kind} must be a JSON object")
     return doc

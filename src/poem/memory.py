@@ -170,16 +170,26 @@ class EpisodicMemory:
             neighbors = self._nearest(s_t, k)
             for record, _, _ in neighbors:
                 self._touch_record(record)
-            return _estimates(neighbors).get(key)
+            tried = [(actions[key], max(sim, SIMILARITY_FLOOR)) for _, actions, sim in neighbors
+                     if key in actions]
+        if not tried:
+            return None
+        total = estimate = 0.0  # added in neighbor order, as best_action's bincounts add
+        for _, weight in tried:
+            total += weight
+        for reward, weight in tried:
+            estimate += reward * weight / total
+        return estimate
 
     def best_action(self, s_t: StateRecord, k: int) -> Action:
         """argmax of the read() estimate over the actions it defines.
 
         Those are the actions the exact state or the k nearest states tried;
-        one pass over the neighbors estimates them all. Exact ties go to the
-        lexicographically smallest action. With nothing defined (or an empty
-        memory, which additionally warns) the identity action is returned:
-        descending similarity is the strongest orderless heuristic.
+        two bincounts over their lexicographic ordinals estimate them all, and
+        the exact state's rewards replace its ordinals' estimates. Exact ties
+        go to the lexicographically smallest action. With nothing defined (or
+        an empty memory, which additionally warns) the identity action is
+        returned: descending similarity is the strongest orderless heuristic.
         """
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -198,13 +208,23 @@ class EpisodicMemory:
             for record, _, _ in neighbors:
                 if record.state_id != s_t.state_id:
                     self._touch_record(record)
-            check_enumerable(self.m)  # keys sort like their rank vectors only up to m = 9
-            values = _estimates(neighbors)
+            check_enumerable(self.m)
+            ordinal = action_keys(self.m)
+            keys = [key for _, actions, _ in neighbors for key in actions]
+            n = len(keys)  # keys[n:] are the exact state's
             if exact is not None:
-                values.update(exact[1])
-            if not values:
+                keys += exact[1]
+            if not keys:
                 return identity_action(self.m)
-            return parse_action_key(max(sorted(values), key=values.__getitem__))
+            ords = np.fromiter(map(ordinal.__getitem__, keys), np.intp, len(keys))
+            values = _estimates(neighbors, ords[:n], len(ordinal))
+            if exact is not None:
+                values[ords[n:]] = list(exact[1].values())
+            defined = np.zeros(len(ordinal), bool)
+            defined[ords] = True
+            candidates = np.flatnonzero(defined)  # ascending ordinals: ties go to the first
+            best = candidates[np.argmax(values[candidates])]
+            return parse_action_key(keys[int(np.argmax(ords == best))])
 
     def _nearest(self, s_t: StateRecord, k: int):
         """The k stored states most similar to s_t as (record, actions, cosine), ties by id."""
@@ -343,15 +363,19 @@ class EpisodicMemory:
         return mem
 
 
-def _estimates(neighbors: list[tuple[StateRecord, dict[str, float], float]]) -> dict[str, float]:
-    """Per action key, the neighbors' mean reward for it, weighted by max(cosine, floor)."""
-    tried: dict[str, list[tuple[float, float]]] = {}
-    for _, actions, sim in neighbors:
-        weight = max(sim, SIMILARITY_FLOOR)
-        for key, reward in actions.items():
-            tried.setdefault(key, []).append((reward, weight))
-    estimates = {}
-    for key, pairs in tried.items():
-        total = sum(weight for _, weight in pairs)
-        estimates[key] = sum(reward * weight / total for reward, weight in pairs)
-    return estimates
+def _estimates(
+    neighbors: list[tuple[StateRecord, dict[str, float], float]], ords: np.ndarray, size: int
+) -> np.ndarray:
+    """Per action ordinal, the neighbors' mean reward for it, weighted by max(cosine, floor).
+
+    ords holds the ordinals of the neighbors' action keys in iteration order. Both bincounts
+    add in that order starting from 0, so each estimate is bit-equal to a Python loop over
+    its (reward, weight) pairs. Ordinals no neighbor tried read 0.
+    """
+    counts = [len(actions) for _, actions, _ in neighbors]
+    weights = np.repeat([max(sim, SIMILARITY_FLOOR) for _, _, sim in neighbors], counts)
+    rewards = np.fromiter((r for _, actions, _ in neighbors for r in actions.values()),
+                          np.float64, len(ords))
+    total = np.bincount(ords, weights, minlength=size)
+    values = np.bincount(ords, rewards * weights / total[ords], minlength=size)
+    return values.astype(np.float64, copy=False)  # a bincount over no pairs counts in ints

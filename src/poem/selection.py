@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import Embedding, EncoderBackend, scaled_rows, similarities
-from .errors import InvalidInputError, SelectionError
+from .errors import InvalidInputError, SelectionError, read_text
 
 
 @dataclass
@@ -82,6 +82,11 @@ class InContextSet:
         vectors = np.array([ex.embedding.values for ex in self.examples])
         return (np.array([ex.index for ex in self.examples]), *scaled_rows(vectors))
 
+    @functools.cached_property
+    def _labels(self) -> np.ndarray:
+        """The examples' labels in pool order, built at the first labelled select."""
+        return np.array([ex.label for ex in self.examples])
+
 
 def build_in_context_set(
     examples: Sequence[Example],
@@ -118,68 +123,66 @@ def select_examples(s: Embedding, ic: InContextSet, m: int) -> list[Example]:
         )
     indices, rows, norms = ic._pool
     order = np.lexsort((indices, -similarities(rows, norms, s)))  # by (-sim, index)
-    ranked = [ic.examples[i] for i in order]
-
     if ic.label_space is None:
-        return ranked[:m]
+        return [ic.examples[i] for i in order[:m]]
     quota = max(m // len(ic.label_space), 1)
-    chosen = []
+    ranked_labels = ic._labels[order]
+    taken = np.zeros(len(order), bool)
     for lab in ic.label_space[: m // quota]:
-        pool = [ex for ex in ranked if ex.label == lab][:quota]
-        if len(pool) < quota:
+        ranks = np.flatnonzero(ranked_labels == lab)[:quota]
+        if len(ranks) < quota:
             raise SelectionError(
-                f"label {lab!r} has only {len(pool)} examples, need {quota}"
+                f"label {lab!r} has only {len(ranks)} examples, need {quota}"
             )
-        chosen.extend(pool)
-    used = {ex.index for ex in chosen}
-    chosen += [ex for ex in ranked if ex.index not in used][: m - len(chosen)]
-    position = {ex.index: i for i, ex in enumerate(ranked)}
-    return sorted(chosen, key=lambda ex: position[ex.index])
+        taken[ranks] = True
+    taken[np.flatnonzero(~taken)[: m - np.count_nonzero(taken)]] = True  # closest unused fill
+    return [ic.examples[i] for i in order[taken]]
 
 
 def load_examples(path: str | Path) -> list[Example]:
     """Read a JSON Lines dataset: {"index": n, "fields": {...}, "label": "..."} per line.
 
     "index" defaults to the 0-based position of the line; "label" is optional.
-    Errors carry the file path and line number.
+    Errors are InvalidInputErrors that carry the file path, and the line number
+    where there is one.
     """
     path = Path(path)
     out: list[Example] = []
     seen: set[int] = set()
     position = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("fields"), dict):
+    text = read_text(path, "dataset", InvalidInputError)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict) or not isinstance(obj.get("fields"), dict):
+            raise InvalidInputError(
+                f"{path}:{lineno}: each line needs a 'fields' object"
+            )
+        fields = {}
+        for key, value in obj["fields"].items():
+            if not isinstance(value, str):
                 raise InvalidInputError(
-                    f"{path}:{lineno}: each line needs a 'fields' object"
+                    f"{path}:{lineno}: field {key!r} must be a string"
                 )
-            fields = {}
-            for key, value in obj["fields"].items():
-                if not isinstance(value, str):
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: field {key!r} must be a string"
-                    )
-                fields[key] = value
-            index = obj.get("index", position)
-            if not isinstance(index, int) or index < 0:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: 'index' must be a non-negative integer"
-                )
-            if index in seen:
-                raise InvalidInputError(f"{path}:{lineno}: duplicate index {index}")
-            seen.add(index)
-            label = obj.get("label")
-            if label is not None and not isinstance(label, str):
-                raise InvalidInputError(f"{path}:{lineno}: 'label' must be a string")
-            out.append(Example(index=index, fields=fields, label=label))
-            position += 1
+            fields[key] = value
+        index = obj.get("index", position)
+        if not isinstance(index, int) or index < 0:
+            raise InvalidInputError(
+                f"{path}:{lineno}: 'index' must be a non-negative integer"
+            )
+        if index in seen:
+            raise InvalidInputError(f"{path}:{lineno}: duplicate index {index}")
+        seen.add(index)
+        label = obj.get("label")
+        if label is not None and not isinstance(label, str):
+            raise InvalidInputError(f"{path}:{lineno}: 'label' must be a string")
+        out.append(Example(index=index, fields=fields, label=label))
+        position += 1
     if not out:
         raise InvalidInputError(f"{path}: dataset is empty")
     return out

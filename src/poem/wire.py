@@ -25,9 +25,10 @@ def post_json(
 ) -> dict[str, Any]:
     """POST a JSON payload and decode a JSON object from the response.
 
-    Connection failures and 5xx statuses count as transient and are retried
-    with exponential backoff (backoff, 2*backoff, ...) up to `max_attempts`
-    total attempts. Any other non-200 status, and a request that cannot be
+    Connection failures, 5xx statuses and 429 (too many requests) count as
+    transient and are retried with exponential backoff (backoff, 2*backoff,
+    ...) up to `max_attempts` total attempts; a 429's Retry-After header is
+    not read. Any other non-200 status, and a request that cannot be
     sent as given (a malformed URL or header), fails on its first attempt. A
     200 with a body that is not a JSON object raises ProtocolError.
     """
@@ -55,7 +56,7 @@ def post_json(
                     f"POST {url}: expected a JSON object, got {type(data).__name__}"
                 )
             return data
-        if resp.status_code >= 500 and attempt < max_attempts:
+        if (resp.status_code >= 500 or resp.status_code == 429) and attempt < max_attempts:
             time.sleep(backoff * 2 ** (attempt - 1))
             continue
         raise BackendError(

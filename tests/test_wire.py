@@ -182,3 +182,28 @@ def test_max_attempts_below_one_rejected(fake_server, attempts):
     with pytest.raises(InvalidInputError, match="max_attempts"):
         wire.post_json(srv.url, {}, max_attempts=attempts)
     assert srv.calls == 0
+
+
+class TestTooManyRequests:
+    """429 is transient: retried with the 5xx backoff and attempt budget."""
+
+    def test_a_429_then_a_200_succeeds(self, fake_server):
+        answers = iter([(429, {"error": "slow down"})])
+        srv = fake_server(lambda payload: next(answers, (200, {"ok": True})))
+        assert wire.post_json(srv.url, {"x": 1}, backoff=0.001) == {"ok": True}
+        assert srv.calls == 2
+
+    def test_429s_until_max_attempts_raise_with_the_status(self, fake_server):
+        srv = fake_server(lambda payload: (429, {"error": "slow down"}))
+        with pytest.raises(BackendError) as err:
+            wire.post_json(srv.url, {}, max_attempts=3, backoff=0.001)
+        assert err.value.status == 429 and err.value.attempts == 3
+        assert srv.calls == 3
+
+    def test_429s_wait_the_same_backoff_as_5xx(self, fake_server, monkeypatch):
+        slept = []
+        monkeypatch.setattr(wire.time, "sleep", slept.append)
+        srv = fake_server(lambda payload: (429, {}))
+        with pytest.raises(BackendError):
+            wire.post_json(srv.url, {}, max_attempts=4, backoff=0.5)
+        assert slept == [0.5, 1.0, 2.0]
