@@ -170,16 +170,11 @@ class EpisodicMemory:
             neighbors = self._nearest(s_t, k)
             for record, _, _ in neighbors:
                 self._touch_record(record)
-            tried = [(actions[key], max(sim, SIMILARITY_FLOOR)) for _, actions, sim in neighbors
-                     if key in actions]
+        tried = [(record, {key: actions[key]}, sim) for record, actions, sim in neighbors
+                 if key in actions]
         if not tried:
             return None
-        total = estimate = 0.0  # added in neighbor order, as best_action's bincounts add
-        for _, weight in tried:
-            total += weight
-        for reward, weight in tried:
-            estimate += reward * weight / total
-        return estimate
+        return float(_estimates(tried, np.zeros(len(tried), np.intp), 1)[0])
 
     def best_action(self, s_t: StateRecord, k: int) -> Action:
         """argmax of the read() estimate over the actions it defines.

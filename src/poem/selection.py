@@ -83,9 +83,11 @@ class InContextSet:
         return (np.array([ex.index for ex in self.examples]), *scaled_rows(vectors))
 
     @functools.cached_property
-    def _labels(self) -> np.ndarray:
-        """The examples' labels in pool order, built at the first labelled select."""
-        return np.array([ex.label for ex in self.examples])
+    def _label_codes(self) -> np.ndarray:
+        """Each example's label as its position in label_space, built at the first labelled
+        select. Positions compare labels as Python strings do; a numpy string array would
+        not tell 'a' from 'a\\x00'."""
+        return np.array([self.label_space.index(ex.label) for ex in self.examples], np.intp)
 
 
 def build_in_context_set(
@@ -126,10 +128,10 @@ def select_examples(s: Embedding, ic: InContextSet, m: int) -> list[Example]:
     if ic.label_space is None:
         return [ic.examples[i] for i in order[:m]]
     quota = max(m // len(ic.label_space), 1)
-    ranked_labels = ic._labels[order]
+    ranked_codes = ic._label_codes[order]
     taken = np.zeros(len(order), bool)
     for lab in ic.label_space[: m // quota]:
-        ranks = np.flatnonzero(ranked_labels == lab)[:quota]
+        ranks = np.flatnonzero(ranked_codes == ic.label_space.index(lab))[:quota]
         if len(ranks) < quota:
             raise SelectionError(
                 f"label {lab!r} has only {len(ranks)} examples, need {quota}"

@@ -614,3 +614,18 @@ class TestSelectAgainstListReference:
         with pytest.raises(SelectionError) as err:
             select_examples(Embedding(np.ones(4)), ic, 4)
         assert str(err.value) == "label 'b' has only 1 examples, need 2"
+
+    def test_labels_that_differ_only_in_a_trailing_nul(self):
+        # numpy string arrays drop trailing NULs when they compare; Python strings do not
+        ic = _labelled(["a", "a\x00"] * 6)
+        rng = np.random.default_rng(5)
+        for m in range(1, 9):
+            query = Embedding(rng.standard_normal(4))
+            got = _outcome(select_examples, query, ic, m)
+            assert got == _outcome(_list_select, query, ic, m) and isinstance(got, list)
+            labels = [ic.examples[i].label for i in got]
+            assert labels.count("a") >= max(m // 2, 1) and labels.count("a\x00") >= m // 2
+        short = _labelled(["a"] * 5 + ["a\x00"])
+        with pytest.raises(SelectionError) as err:
+            select_examples(Embedding(np.ones(4)), short, 4)
+        assert str(err.value) == "label 'a\\x00' has only 1 examples, need 2"

@@ -1,22 +1,23 @@
 """Time a change against a parent commit with alternating benchmark runs.
 
 Usage: python tools/bench_pairs.py --ref REF [--workload W ...] [--pairs N]
-                                   [--seconds S] [--out BENCH_topic.json]
+                                   [--out BENCH_topic.json]
 
 Unpacks commit REF with ``git archive`` into a temporary directory and runs
 ``benchmarks/run.py --trace 0`` on it and on the checkout this script lives
-in, one process at a time. Pair i runs seed SEEDS[i % len(SEEDS)] on both
-trees; even pairs run REF first, odd pairs the checkout first, so a host
-that drifts in speed hurts neither side more. Each tree runs its own
-``benchmarks/``.
+in, one process at a time, each for BENCHMARK.json's ``run_seconds``. Pair i
+runs seed SEEDS[i % len(SEEDS)] on both trees; even pairs run REF first, odd
+pairs the checkout first, so a host that drifts in speed hurts neither side
+more. Each tree runs its own ``benchmarks/``.
 
 Per workload and end-to-end metric it reports both sides' median and
 quartiles (``statistics.quantiles(method='inclusive')``), the pairs the
-checkout won, every pair's values, failed and attempted operations, and
-whether the behaviour fingerprints agree per seed. With ``--out`` it writes
-this as the ``workloads`` block of a ``BENCH_<topic>.json`` (with ``method``
-and ``environment``), keeping the file's other keys and other workloads
-(``make bench-pairs REF=HEAD~1 W=order_serve PAIRS=10 OUT=BENCH_x.json``).
+checkout won and tied, every pair's values, failed and attempted operations,
+and whether the behaviour fingerprints agree per seed. It gives no verdict:
+the benchmark's rules are applied to these statistics. With ``--out`` it
+writes this as the ``workloads`` block of a ``BENCH_<topic>.json`` (with
+``method`` and ``environment``), keeping the file's other keys and other
+workloads (``make bench-pairs REF=HEAD~1 W=order_serve PAIRS=10 OUT=BENCH_x.json``).
 """
 
 from __future__ import annotations
@@ -76,13 +77,6 @@ def compare(pairs: list[tuple[int, dict, dict]], spec: dict) -> dict:
     ties = sum(c == p for _, p, c in both)
     ratio = change["median"] / parent["median"] if parent["median"] else None
     iqr = parent["q3"] - parent["q1"]
-    gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
-    if ratio is not None and (ratio - 1 if lower else 1 - ratio) > spec["bound"]:
-        verdict = "worse beyond bound"
-    elif wins * 10 >= 9 * len(both) and gain > iqr:
-        verdict = "better"
-    else:
-        verdict = "within bound"
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": parent, "change": change,
@@ -90,7 +84,6 @@ def compare(pairs: list[tuple[int, dict, dict]], spec: dict) -> dict:
         "change_wins_pairs": f"{wins}/{len(both)}",
         "tied_pairs": ties,
         "parent_iqr_over_median": iqr / parent["median"] if parent["median"] else None,
-        "verdict": verdict,
         f"seed{HELD_OUT_SEED}": [{"parent": p, "change": c}
                                  for seed, p, c in both if seed == HELD_OUT_SEED],
         "pairs_seed_parent_change": [list(b) for b in both],
@@ -125,7 +118,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", type=Path, help="BENCH_<topic>.json to write or update")
     args = parser.parse_args()
     if args.pairs < 1:
@@ -145,7 +137,7 @@ def main() -> int:
             for i in range(args.pairs):
                 seed = SEEDS[i % len(SEEDS)]
                 order = [("parent", Path(ref_root)), ("change", ROOT)]
-                runs = {side: run_once(root, workload, seed, args.seconds)
+                runs = {side: run_once(root, workload, seed, bench["run_seconds"])
                         for side, root in (order if i % 2 == 0 else order[::-1])}
                 pairs.append((seed, runs["parent"], runs["change"]))
                 env = env or runs["change"]["env"]
@@ -159,8 +151,8 @@ def main() -> int:
         return 0
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc["method"] = (
-        f"python3 tools/bench_pairs.py --ref {args.ref} --pairs {args.pairs} "
-        f"--seconds {args.seconds:g}: benchmarks/run.py --trace 0 on a git archive of the "
+        f"python3 tools/bench_pairs.py --ref {args.ref} --pairs {args.pairs}: "
+        f"benchmarks/run.py --seconds {bench['run_seconds']} --trace 0 on a git archive of the "
         f"parent and on the change, one process at a time; pair i runs seed "
         f"{list(SEEDS)}[i % {len(SEEDS)}], even pairs parent first, odd pairs change first.")
     doc.setdefault("environment", {})["run_py_env"] = env
