@@ -10,6 +10,7 @@ template placeholder or a missing file is rejected before any network call.
 from __future__ import annotations
 
 import dataclasses
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -226,8 +227,12 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
     if not isinstance(lm_spec, dict) or lm_spec.get("backend") not in ("remote", "synthetic"):
         raise ConfigError(f"{path}: lm.backend must be 'remote' or 'synthetic'")
     for section, spec in (("encoder", encoder_spec), ("lm", lm_spec)):
-        if not isinstance(spec.get("url"), (str, type(None))):
+        url = spec.get("url")
+        if not isinstance(url, (str, type(None))):
             raise ConfigError(f"{path}: {section}.url must be a string")
+        if url is not None and not _http_url(url):
+            raise ConfigError(f"{path}: {section}.url must be an http(s) URL with a host, "
+                              f"got {url!r}")
     scenario = None
     if lm_spec["backend"] == "synthetic":
         if not isinstance(lm_spec.get("scenario"), str):
@@ -250,6 +255,14 @@ def parse_task_config(raw: dict, path: str | Path) -> TaskConfig:
         encoder_spec=encoder_spec,
         lm_spec=lm_spec,
     )
+
+
+def _http_url(url: str) -> bool:
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:  # an unclosed IPv6 bracket, say
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 # A neutral prompt shape for synthetic runs: the raw text per segment.

@@ -11,6 +11,7 @@ computation, so snapshots round-trip backend output unchanged.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -53,6 +54,18 @@ class Embedding:
     def __hash__(self):
         return hash(self.values.tobytes())
 
+    @functools.cached_property
+    def _scale(self) -> tuple[float, float, float]:
+        """(peak |value|, norm of values / peak, that norm as scaled_rows gives it).
+
+        Filled on first use and never stale, since values is read-only. The two
+        norms differ in the last bits: np.linalg.norm sums through BLAS dot,
+        scaled_rows through einsum. Not a field, so eq, hash and replace ignore it.
+        """
+        peak = float(np.max(np.abs(self.values)))
+        row_norm = scaled_rows(self.values[None, :])[1][0]
+        return peak, float(np.linalg.norm(self.values / peak)), float(row_norm)
+
 
 class EncoderBackend(Protocol):
     """Anything that deterministically turns texts into fixed-dim embeddings."""
@@ -69,27 +82,28 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
     """
     if a.dim != b.dim:
         raise InvalidInputError(f"dimension mismatch: {a.dim} != {b.dim}")
-    peak_a = float(np.max(np.abs(a.values)))
-    peak_b = float(np.max(np.abs(b.values)))
-    va = a.values / peak_a
-    vb = b.values / peak_b
-    return float(np.dot(va, vb)) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
+    peak_a, norm_a, _ = a._scale
+    peak_b, norm_b, _ = b._scale
+    return float(np.dot(a.values / peak_a, b.values / peak_b)) / (norm_a * norm_b)
 
 
 def scaled_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows pre-scaled as cosine_similarity scales a vector, and their norms. A row's
-    results depend on that row alone, bit for bit, whatever matrix it sits in."""
+    results depend on that row alone, bit for bit, whatever matrix it sits in. The
+    norms are einsum sums, so they can differ from np.linalg.norm in the last bits."""
     rows = vectors / np.max(np.abs(vectors), axis=1, keepdims=True)
     return rows, np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def similarities(rows: np.ndarray, norms: np.ndarray, s: Embedding) -> np.ndarray:
-    """cosine_similarity(s, v) for each v that scaled_rows made rows and norms of. One
-    einsum, not `rows @ q`: einsum scores equal rows bit-equal wherever they sit."""
+    """The cosine of s with each v that scaled_rows made rows and norms of. It agrees
+    with cosine_similarity(s, v) within 1e-12, not bit for bit: einsum and BLAS dot sum
+    in different orders. One einsum, not `rows @ q`: einsum scores equal rows bit-equal
+    wherever they sit. The query is scaled as scaled_rows would scale it."""
     if rows.shape[1] != s.dim:
         raise InvalidInputError(f"dimension mismatch: {s.dim} != {rows.shape[1]}")
-    q, q_norm = scaled_rows(s.values[None, :])
-    return np.einsum("ij,j->i", rows, q[0]) / (norms * q_norm[0])
+    peak, _, row_norm = s._scale
+    return np.einsum("ij,j->i", rows, s.values / peak) / (norms * row_norm)
 
 
 def _ngram_features(text: str) -> list[str]:

@@ -161,6 +161,8 @@ def load_examples(path: str | Path) -> list[Example]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise InvalidInputError(f"{path}:{lineno}: dataset line nests too deeply") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("fields"), dict):
             raise InvalidInputError(
                 f"{path}:{lineno}: each line needs a 'fields' object"

@@ -12,6 +12,7 @@ states to test states is meaningful.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -118,15 +119,28 @@ def brute_force_best(
         )
     sims = {ex.index: cosine_similarity(s, ex.embedding) for ex in t_s}
     canonical = sorted(t_s, key=lambda ex: (-sims[ex.index], ex.index))
-    best = None
-    best_value = -np.inf
-    for action in enumerate_actions(landscape.m):
-        value = 0.0
-        for weight, rank in zip(landscape.position_weights, action.ranks):
-            value += weight * sims[canonical[rank - 1].index]
-        if best is None or value > best_value:
-            best, best_value = action, value
-    return best
+    by_rank = np.array([sims[ex.index] for ex in canonical])
+    ranks = _rank_table(landscape.m)
+    # each action's value, summed slot by slot in the order a scalar loop adds them;
+    # huge weights overflow to +-inf as Python floats do, without a warning
+    values = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, slot_ranks in zip(landscape.position_weights, ranks):
+            values = values + weight * by_rank[slot_ranks]
+    # A scalar scan keeps the first action unless a later value is strictly greater,
+    # so a NaN (an inf - inf row) wins only in column 0; argmax takes the first maximum.
+    later = values[1:]
+    later[np.isnan(later)] = -np.inf
+    return Action(tuple(ranks[:, int(np.argmax(values))] + 1))
+
+
+@functools.cache
+def _rank_table(m: int) -> np.ndarray:
+    """(m, m!) array: column j holds the 0-based ranks of the j-th action in lexicographic
+    order, slot by slot. Built once per m; read it, never change it."""
+    table = np.array([action.ranks for action in enumerate_actions(m)]).T.copy() - 1
+    table.setflags(write=False)
+    return table
 
 
 class PlantedEncoder:

@@ -40,8 +40,9 @@ def post_json(
         except requests.RequestException as exc:
             # requests' URL and header errors are also ValueErrors: retrying cannot mend them
             if attempt == max_attempts or isinstance(exc, ValueError):
+                plural = "s" if attempt > 1 else ""
                 raise BackendError(
-                    f"POST {url} failed after {attempt} attempts: {exc}",
+                    f"POST {url} failed after {attempt} attempt{plural}: {exc}",
                     attempts=attempt,
                 ) from exc
             time.sleep(backoff * 2 ** (attempt - 1))

@@ -417,3 +417,31 @@ class TestInspectAndSimulate:
         assert result.exit_code == 0, result.output
         doc = json.loads(result.output)
         assert doc["report"]["final_fill_ratio"] == 1.0
+
+
+# A malformed endpoint URL is a validation error (exit 2) that names the field, found
+# before any request; a well-formed one that nothing answers is left to the first request.
+@pytest.mark.parametrize("url", ["not a url", "5", "ftp://x/", "http://[bad", "http://", "//host/"])
+@pytest.mark.parametrize("section", ["encoder", "lm"])
+def test_malformed_endpoint_url_is_a_validation_error(tmp_path, section, url):
+    doc = _offline_config()
+    doc[section] = {"backend": "remote", "url": url}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rf"{section}\.url must be an http\(s\) URL"):
+        load_task_config(path)
+    result = run("train", "--config", path, "--out", tmp_path / "memory.json")
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.stderr.startswith(f"error: {path}: {section}.url")
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:1/", "https://embed.example:8443/v1/embed",
+                                 "HTTP://[::1]:8080/"])
+def test_well_formed_endpoint_urls_validate(tmp_path, url):
+    doc = _offline_config()
+    doc["encoder"] = {"backend": "remote", "url": url}
+    doc["lm"] = {"backend": "remote", "url": url}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    config = load_task_config(path)
+    assert config.encoder_spec["url"] == config.lm_spec["url"] == url

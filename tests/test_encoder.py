@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from poem import (
     HashEncoder,
     cosine_similarity,
 )
+from poem.encoder import scaled_rows, similarities
 from poem.errors import InvalidInputError
 
 
@@ -87,10 +89,92 @@ class TestCosineProperties:
     @given(vector_pair(), st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, pair, scale):
         a, b = pair
+        # a subnormal entry can underflow to 0 when scaled, and a zero vector is no embedding
+        assume(np.all((a.values == 0.0) | (np.abs(a.values * scale) >= np.finfo(float).tiny)))
         scaled = Embedding(a.values * scale)
         assert cosine_similarity(scaled, b) == pytest.approx(
             cosine_similarity(a, b), abs=1e-9
         )
+
+
+def reference_cosine(a, b):
+    """cosine_similarity as written before each embedding cached its scale."""
+    va = a.values / float(np.max(np.abs(a.values)))
+    vb = b.values / float(np.max(np.abs(b.values)))
+    return float(np.dot(va, vb)) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb)))
+
+
+def reference_similarities(rows, norms, s):
+    """similarities as written before: the query scaled by scaled_rows on every call."""
+    q, q_norm = scaled_rows(s.values[None, :])
+    return np.einsum("ij,j->i", rows, q[0]) / (norms * q_norm[0])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()  # tells -0.0 from 0.0
+
+
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def related_vectors(draw, count):
+    """`count` nonzero vectors of one dim, each drawn fresh or made from an earlier one as
+    a scaled copy, an antipode or an axis vector, so exact ties and -1 cosines occur."""
+    dim = draw(st.sampled_from([2, 3, 7, 64]))
+    out = []
+    for i in range(count):
+        kind = draw(st.sampled_from(["fresh", "scaled", "antipode", "axis"] if i else ["fresh"]))
+        if kind == "fresh" and dim < 64:
+            v = np.array(draw(st.lists(any_finite, min_size=dim, max_size=dim)))
+        elif kind == "fresh":  # a seeded draw keeps hypothesis' input small
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            magnitude = draw(st.sampled_from([1.0, 1e-300, 1e-5, 1e5, 1e300]))
+            v = rng.standard_normal(dim) * magnitude * (rng.random(dim) < 0.8)
+        elif kind == "axis":
+            v = np.zeros(dim)
+            v[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([1.0, -2.5, 5e-324, 1e308]))
+        else:
+            base = out[draw(st.integers(0, len(out) - 1))]
+            factor = -1.0 if kind == "antipode" else draw(st.sampled_from([2.0, 0.5, 3.0, 1e-3]))
+            with np.errstate(over="ignore", under="ignore"):
+                v = base * factor
+            if not (np.all(np.isfinite(v)) and np.any(v)):
+                v = base  # a duplicate instead
+        if not np.any(v):
+            v[0] = 1.0
+        out.append(v)
+    return [Embedding(v) for v in out]
+
+
+class TestCachedScaleAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(related_vectors(2))
+    def test_cosine_bit_for_bit(self, pair):
+        a, b = pair
+        assert bits(cosine_similarity(a, b)) == bits(reference_cosine(a, b))
+        assert bits(cosine_similarity(b, a)) == bits(reference_cosine(b, a))
+        assert bits(cosine_similarity(a, a)) == bits(reference_cosine(a, a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(related_vectors(6))
+    def test_similarities_bit_for_bit(self, vectors):
+        *pool, query = vectors
+        rows, norms = scaled_rows(np.stack([v.values for v in pool]))
+        for s in (query, *pool):
+            expected = reference_similarities(rows, norms, s)
+            assert bits(similarities(rows, norms, s)) == bits(expected)
+
+    def test_filled_cache_changes_no_equality_or_hash(self):
+        values = np.array([3.0, -4.0, 0.5])
+        used, fresh = Embedding(values), Embedding(values)
+        cosine_similarity(used, used)
+        assert "_scale" in vars(used) and "_scale" not in vars(fresh)
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert {used: 1}[fresh] == 1
+        assert "_scale" not in vars(dataclasses.replace(used))
+        assert [f.name for f in dataclasses.fields(Embedding)] == ["values"]
 
 
 class TestHashEncoder:

@@ -148,3 +148,29 @@ def test_cli_reports_an_unreadable_dataset_split(tmp_path, case):
                                        "--out", str(tmp_path / "mem.json")])
     assert result.exit_code == 1, (result.output, result.exception)
     assert result.stderr == f"error: {message.format(path=path)}\n"
+
+
+# A dataset line nested past the parser's recursion limit is an input error with the
+# path and line number, as a too-deep JSON document is, not a RecursionError traceback.
+def _deep_dataset(path):
+    path.write_text('{"fields": {"text": "fine"}}\n' + "[" * 100000 + "\n", encoding="utf-8")
+    return f"{path}:2: dataset line nests too deeply"
+
+
+def test_a_deeply_nested_dataset_line_raises_invalid_input(tmp_path):
+    message = _deep_dataset(tmp_path / "data.jsonl")
+    with pytest.raises(InvalidInputError) as err:
+        load_examples(tmp_path / "data.jsonl")
+    assert str(err.value) == message
+
+
+def test_cli_order_reports_a_deeply_nested_query_line(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    message = _deep_dataset(path)
+    memory = EpisodicMemory(capacity=1, m=4)
+    memory.write(StateRecord.from_text("q", Embedding(np.ones(64))), identity_action(4), 0.5)
+    memory.snapshot(tmp_path / "mem.json")
+    result = CliRunner().invoke(main, ["order", "--config", str(OFFLINE_CONFIG), "--memory",
+                                       str(tmp_path / "mem.json"), "--file", str(path)])
+    assert result.exit_code == 1, (result.output, result.exception)
+    assert result.stderr == f"error: {message}\n"

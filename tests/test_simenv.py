@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poem import (
     Action,
@@ -153,6 +155,117 @@ class TestBruteForceBest:
         baseline = brute_force_best(landscape, s, examples)
         for perm in itertools.permutations(examples):
             assert brute_force_best(landscape, s, list(perm)) == baseline
+
+
+def scalar_best(landscape, s, t_s):
+    """brute_force_best as written before the rank table: one Action and one scalar sum
+    per permutation, the first of equal values kept."""
+    sims = {ex.index: cosine_similarity(s, ex.embedding) for ex in t_s}
+    canonical = sorted(t_s, key=lambda ex: (-sims[ex.index], ex.index))
+    best = None
+    best_value = -np.inf
+    for action in enumerate_actions(landscape.m):
+        value = 0.0
+        for weight, rank in zip(landscape.position_weights, action.ranks):
+            value += weight * sims[canonical[rank - 1].index]
+        if best is None or value > best_value:
+            best, best_value = action, value
+    return best
+
+
+BIG = np.finfo(float).max
+# ties, zero and negative weights, and weights whose products or sums overflow to +-inf
+weight_values = st.sampled_from([1.0, 0.0, -0.0, -1.0, 2.0, 0.5, 1e308, -1e308, BIG, -BIG]) \
+    | st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def oracle_cases(draw):
+    m = draw(st.integers(1, 6))
+    dim = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = []
+    for _ in range(m + 1):  # the last one is the state
+        kind = draw(st.sampled_from(["fresh", "duplicate", "scaled", "antipode"]
+                                    if vectors else ["fresh"]))
+        if kind == "fresh":
+            vectors.append(rng.standard_normal(dim))
+        else:
+            base = vectors[draw(st.integers(0, len(vectors) - 1))]
+            vectors.append(base * {"duplicate": 1.0, "scaled": 4.0, "antipode": -1.0}[kind])
+    *vectors, state = vectors
+    indices = draw(st.permutations(range(m)))
+    examples = [Example(index=i, fields={}, embedding=emb(v)) for i, v in zip(indices, vectors)]
+    weights = draw(st.lists(weight_values, min_size=m, max_size=m))
+    return BiasLandscape(weights), emb(state), examples
+
+
+class TestBruteForceBestAgainstScalarLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_cases())
+    def test_same_action_as_the_scalar_loop(self, case):
+        landscape, s, examples = case
+        assert brute_force_best(landscape, s, examples) == scalar_best(landscape, s, examples)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equal_weights_and_duplicate_examples_tie_to_identity(self, m):
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal(4)
+        examples = [Example(index=i, fields={}, embedding=emb(v * 2.0 ** i)) for i in range(m)]
+        landscape = BiasLandscape([1.5] * m)
+        s = emb(rng.standard_normal(4))
+        assert brute_force_best(landscape, s, examples) == identity_action(m)
+        assert scalar_best(landscape, s, examples) == identity_action(m)
+
+    def _self_similar(self):
+        """A vector whose cosine with itself rounds above 1, so BIG * it overflows to inf."""
+        rng = np.random.default_rng(0)
+        while True:
+            v = emb(rng.standard_normal(5))
+            if cosine_similarity(v, v) > 1.0:
+                return v
+
+    def test_overflowing_sums_keep_the_first_maximum(self):
+        v = self._self_similar()
+        examples = [Example(index=i, fields={}, embedding=v) for i in range(3)]
+        landscape = BiasLandscape((1e308, 1e308, 1e308))  # every action sums to +inf
+        assert brute_force_best(landscape, v, examples) == identity_action(3)
+        assert scalar_best(landscape, v, examples) == identity_action(3)
+
+    def test_a_nan_action_after_the_first_never_wins(self):
+        # ranks 1 and 2 are v itself (cosine > 1), rank 3 is not: (3, 1, 2) sums to
+        # c + inf - inf = NaN, which a scalar scan never takes over the first action's +inf
+        v = self._self_similar()
+        other = emb(v.values + np.arange(5.0))
+        examples = [Example(index=0, fields={}, embedding=v),
+                    Example(index=1, fields={}, embedding=v),
+                    Example(index=2, fields={}, embedding=other)]
+        landscape = BiasLandscape((1.0, BIG, -BIG))
+        assert scalar_best(landscape, v, examples) == identity_action(3)
+        assert brute_force_best(landscape, v, examples) == identity_action(3)
+
+    def test_a_nan_first_action_is_kept(self):
+        v = self._self_similar()
+        examples = [Example(index=i, fields={}, embedding=v) for i in range(2)]
+        landscape = BiasLandscape((BIG, -BIG))  # every action is inf - inf
+        assert scalar_best(landscape, v, examples) == identity_action(2)
+        assert brute_force_best(landscape, v, examples) == identity_action(2)
+
+    def test_rank_table_is_built_once_per_m(self, monkeypatch):
+        calls = []
+        real = simenv.enumerate_actions
+        monkeypatch.setattr(simenv, "enumerate_actions", lambda m: calls.append(m) or real(m))
+        simenv._rank_table.cache_clear()
+        try:
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                examples = make_examples(rng, 4, 6)
+                s = emb(rng.standard_normal(6))
+                assert brute_force_best(BiasLandscape.descending(4), s, examples) \
+                    == scalar_best(BiasLandscape.descending(4), s, examples)
+        finally:
+            simenv._rank_table.cache_clear()
+        assert calls == [4]
 
 
 class TestGenerateTask:

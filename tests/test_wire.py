@@ -207,3 +207,18 @@ class TestTooManyRequests:
         with pytest.raises(BackendError):
             wire.post_json(srv.url, {}, max_attempts=4, backoff=0.5)
         assert slept == [0.5, 1.0, 2.0]
+
+
+def test_one_attempt_is_named_in_the_singular():
+    with pytest.raises(BackendError, match=r"failed after 1 attempt: "):
+        wire.post_json("not a url", {})
+
+
+def test_exhausted_connection_attempts_are_named_in_the_plural(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise wire.requests.ConnectionError("refused")
+
+    monkeypatch.setattr(wire.requests, "post", refuse)
+    with pytest.raises(BackendError, match=r"failed after 2 attempts: refused") as err:
+        wire.post_json("http://127.0.0.1:1/", {}, max_attempts=2, backoff=0)
+    assert err.value.attempts == 2
